@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/farm"
@@ -68,6 +67,7 @@ type Core struct {
 	desiredIdx []int
 	actualIdx  []int
 	demo       []fvsst.Demotion
+	step2      fvsst.Kernel
 
 	// timing gates the wall-clock phase breakdown (SetPhaseTiming);
 	// timings is the per-pass scratch it fills.
@@ -157,11 +157,10 @@ func (c *Core) stepOne(inputs []ProcInput) error {
 
 // DemandCurve exports this processor set's budget→predicted-loss
 // trade-off for the farm allocator: the first point is the Step-1
-// ε-constrained desire, each further point applies one more least-loss
-// Step-2 demotion (the same selection rule as fvsst.FitToBudgetGrid —
-// invalid rows count as zero loss, ties break toward the higher current
-// index), and the last point is the floor with every processor at the
-// table minimum. Only the grid rows a scheduling pass fills anyway are
+// ε-constrained desire, each further point applies one more Step-2
+// demotion (fvsst.Kernel run to the floor, the same order a scheduling
+// pass takes), and the last point is the floor with every processor at
+// the table minimum. Only the grid rows a scheduling pass fills anyway are
 // evaluated, so the curve costs no extra prediction work.
 func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 	curve, _, err := c.DemandCurveDesired(inputs)
@@ -171,10 +170,10 @@ func (c *Core) DemandCurve(inputs []ProcInput) (farm.DemandCurve, error) {
 // DemandCurveDesired is DemandCurve plus a copy of the Step-1 desired
 // table index per processor — the relay tier ships both upward so a root
 // coordinator can replay the flat Step-2 arithmetic exactly
-// (farm.DivideLeastLossExact). Each point's Power is re-summed from
-// scratch in processor order, the same accumulation fvsst.FitToBudgetGrid
-// uses for its stop test, so a member handed Points[k].Power as its
-// budget demotes to exactly point k.
+// (farm.DivideLeastLossExact). Each point's Power is the kernel's running
+// total, the very value Schedule's stop test compares, so a member handed
+// Points[k].Power as its budget demotes to exactly point k: Step 2 is a
+// prefix of the demand curve.
 func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, error) {
 	if len(inputs) == 0 {
 		return farm.DemandCurve{}, nil, fmt.Errorf("cluster: demand curve needs at least one processor")
@@ -185,56 +184,25 @@ func (c *Core) DemandCurveDesired(inputs []ProcInput) (farm.DemandCurve, []int, 
 	copy(c.actualIdx, c.desiredIdx)
 	desired := append([]int(nil), c.desiredIdx...)
 
-	sumAt := func() units.Power {
-		var s units.Power
-		for _, idx := range c.actualIdx {
-			s += c.cfg.Table.PowerAtIndex(idx)
-		}
-		return s
-	}
 	var sumLoss float64
 	for i, idx := range c.actualIdx {
 		if c.grid.Valid(i) {
 			sumLoss += c.grid.Loss(i, idx)
 		}
 	}
-	curve := farm.DemandCurve{Points: []farm.DemandPoint{{Power: sumAt(), Loss: sumLoss}}}
-	for {
-		best := -1
-		bestLoss := math.Inf(1)
-		for i, idx := range c.actualIdx {
-			if idx == 0 {
-				continue // already at minimum
-			}
-			loss := 0.0
-			if c.grid.Valid(i) {
-				loss = c.grid.Loss(i, idx-1)
-			}
-			if loss < bestLoss || (loss == bestLoss && best >= 0 && idx > c.actualIdx[best]) {
-				best, bestLoss = i, loss
-			}
+	c.step2.StartRows(&c.grid, c.actualIdx, c.cfg.Table)
+	curve := farm.DemandCurve{Points: []farm.DemandPoint{{Power: c.step2.Total(), Loss: sumLoss}}}
+	for key, ok := c.step2.Next(fvsst.ToFloor); ok; key, ok = c.step2.Next(fvsst.ToFloor) {
+		if c.grid.Valid(key.Proc) {
+			sumLoss += key.Loss - c.grid.Loss(key.Proc, key.Idx)
 		}
-		if best < 0 {
-			return curve, desired, nil // every processor at the floor
-		}
-		idx := c.actualIdx[best]
-		if c.grid.Valid(best) {
-			sumLoss += c.grid.Loss(best, idx-1) - c.grid.Loss(best, idx)
-		}
-		c.actualIdx[best] = idx - 1
-		prev := curve.Points[len(curve.Points)-1]
-		p := farm.DemandPoint{
-			Power: sumAt(),
-			Loss:  sumLoss,
-			Step:  farm.StepKey{Loss: bestLoss, Idx: idx, Proc: best},
-		}
-		if p.Loss < prev.Loss {
+		p := farm.DemandPoint{Power: c.step2.Total(), Loss: sumLoss, Step: key}
+		if prev := curve.Points[len(curve.Points)-1]; p.Loss < prev.Loss {
 			p.Loss = prev.Loss // absorb float jitter; model loss is monotone in frequency
 		}
-		if p.Power < prev.Power {
-			curve.Points = append(curve.Points, p)
-		}
+		curve.Points = append(curve.Points, p)
 	}
+	return curve, desired, nil
 }
 
 // UniformLoss predicts the aggregate performance loss of pinning every
@@ -275,7 +243,7 @@ func (c *Core) Schedule(inputs []ProcInput, budget units.Power) (PassResult, err
 	if c.timing {
 		t2 = time.Now()
 	}
-	demotions, met := fvsst.FitToBudgetGrid(&c.grid, c.actualIdx, c.cfg.Table, budget, c.demo[:0])
+	demotions, met := c.step2.Fit(&c.grid, c.actualIdx, c.cfg.Table, budget, c.demo[:0])
 	c.demo = demotions[:0] // keep any grown backing array
 	var t3 time.Time
 	if c.timing {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/farm"
@@ -34,9 +33,11 @@ func TestDemandCurveShape(t *testing.T) {
 }
 
 // TestDemandCurveMatchesSchedule is the faithfulness property that makes
-// the farm layer's predictions honest: for any budget, the cheapest curve
-// point that fits is exactly the (power, loss) a real Step-2 pass lands
-// on over the same inputs, because both walk the same greedy trajectory.
+// the farm layer's predictions honest: Step 2 is a prefix of the demand
+// curve. Handed any point's power as its budget, a real pass over the
+// same inputs lands on exactly that point — the same table power bit for
+// bit, after exactly k demotions, each the curve's step key — because
+// both run the one Step-2 kernel from the same start.
 func TestDemandCurveMatchesSchedule(t *testing.T) {
 	c := newTwoNodeCluster(t, units.Watts(1200))
 	if err := c.Run(0.5); err != nil {
@@ -47,32 +48,24 @@ func TestDemandCurveMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []units.Power{curve.Desired() + 10, 600, 300, 150, curve.Floor()} {
-		res, err := c.core.Schedule(inputs, budget)
+	for k, pt := range curve.Points {
+		res, err := c.core.Schedule(inputs, pt.Power)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var passLoss float64
-		for _, a := range res.Assignments {
-			passLoss += a.PredictedLoss
+		if !res.BudgetMet || res.TablePower != pt.Power {
+			t.Fatalf("point %d: pass table power %v (met %v), want exactly %v",
+				k, res.TablePower, res.BudgetMet, pt.Power)
 		}
-		wantLoss, ok := curve.LossAt(budget)
-		if !ok {
-			t.Fatalf("budget %v below the curve floor %v", budget, curve.Floor())
+		if len(res.Demotions) != k {
+			t.Fatalf("point %d: pass took %d demotions, want %d", k, len(res.Demotions), k)
 		}
-		if math.Abs(passLoss-wantLoss) > 1e-9 {
-			t.Errorf("budget %v: pass loss %.12f, curve loss %.12f", budget, passLoss, wantLoss)
-		}
-		// The pass's table power must be the curve point LossAt chose.
-		found := false
-		for _, p := range curve.Points {
-			if p.Power == res.TablePower {
-				found = true
-				break
+		for j, d := range res.Demotions {
+			step := curve.Points[j+1].Step
+			if d.CPU != step.Proc || d.From != c.cfg.Table.FrequencyAtIndex(step.Idx) || d.PredictedLoss != step.Loss {
+				t.Fatalf("point %d demotion %d: cpu %d from %v loss %v, curve step %+v",
+					k, j, d.CPU, d.From, d.PredictedLoss, step)
 			}
-		}
-		if !found {
-			t.Errorf("budget %v: pass table power %v is not a curve point", budget, res.TablePower)
 		}
 	}
 }

@@ -3,35 +3,18 @@ package farm
 import (
 	"fmt"
 
+	"repro/internal/fvsst"
 	"repro/internal/units"
 )
 
-// StepKey identifies the Step-2 demotion that produced a demand point,
-// in the exact order the flat greedy compares candidates: the demoted
-// processor's absolute predicted loss at its new (one lower) index, its
-// pre-demotion table index, and its position within the exporting
+// StepKey identifies the Step-2 demotion that produced a demand point:
+// the demoted processor's predicted loss at its new (one lower) index,
+// its pre-demotion table index, and its position within the exporting
 // processor set. The zero key marks a curve's first point (the Step-1
-// desire — no demotion produced it).
-type StepKey struct {
-	Loss float64
-	Idx  int
-	Proc int
-}
-
-// Less orders step keys the way fvsst.FitToBudgetGrid picks its next
-// demotion: smaller loss first, ties toward the higher pre-demotion
-// index, remaining ties toward the earlier processor. aOff/bOff shift
-// each key's Proc into a shared flat order, so keys exported by
-// different members compare as if their processors were concatenated.
-func (a StepKey) Less(aOff int, b StepKey, bOff int) bool {
-	if a.Loss != b.Loss {
-		return a.Loss < b.Loss
-	}
-	if a.Idx != b.Idx {
-		return a.Idx > b.Idx
-	}
-	return a.Proc+aOff < b.Proc+bOff
-}
+// desire — no demotion produced it). It is fvsst.StepKey, so the root
+// division compares keys with the one Step-2 order, fvsst.StepKey.Less,
+// after shifting Proc by the member's offset in the flat processor order.
+type StepKey = fvsst.StepKey
 
 // DemandPoint couples one aggregate power level a cluster could run at
 // with the aggregate predicted performance loss of the least-loss

@@ -3,118 +3,104 @@ package farm
 import (
 	"fmt"
 
+	"repro/internal/fvsst"
 	"repro/internal/power"
 	"repro/internal/units"
 )
 
-// DivideLeastLoss splits a power budget across member demand curves by
-// replaying the flat Step-2 greedy over their step keys: every member
-// starts at its desire (point 0) and the member whose next point carries
-// the smallest key — absolute loss ascending, pre-demotion index
-// descending, flat processor index ascending — advances one point, until
-// the aggregate point power fits the budget. offsets[i] is member i's
-// first processor's index in the flat concatenated order; because each
-// member's curve is itself the least-loss demotion sequence over its own
-// processors, interleaving by key reproduces the demotion order of one
-// flat fvsst.FitToBudgetGrid pass over the union, and the returned point
-// index per member is that flat schedule, sliced.
+// DivideLeastLossExact splits a power budget across member demand curves
+// by running the Step-2 kernel (fvsst.Kernel) over the curves' heads:
+// every member starts at its desire (point 0), and the member whose next
+// point carries the least step key — shifted into the flat processor
+// order by the member's offset — advances one point, until the running
+// power fits the budget. desired[i] holds member i's Step-1 table index
+// per processor; the kernel's running total starts from their sum in
+// flat order and subtracts each demotion's saving, exactly as one flat
+// pass over the union would. Because each member's curve is itself its
+// processors' least-loss sequence, the division reproduces the flat
+// schedule bit for bit on any table, at O(log members) per demotion.
 //
-// The stop test sums the members' current point powers, so it can differ
-// from the flat pass's per-processor summation by float rounding at the
-// boundary; DivideLeastLossExact removes that difference when the
-// per-processor data is available. met is false when every curve is at
-// its floor with the budget still exceeded. Empty curves are skipped.
-func DivideLeastLoss(curves []DemandCurve, offsets []int, budget units.Power) (pos []int, met bool) {
-	if len(offsets) != len(curves) {
-		panic(fmt.Sprintf("farm: %d offsets for %d curves", len(offsets), len(curves)))
-	}
-	pos = make([]int, len(curves))
-	for {
-		var sum units.Power
-		for i, c := range curves {
-			if len(c.Points) > 0 {
-				sum += c.Points[pos[i]].Power
-			}
-		}
-		if sum <= budget {
-			return pos, true
-		}
-		if !advanceLeastLoss(curves, offsets, pos) {
-			return pos, false
-		}
-	}
-}
-
-// DivideLeastLossExact is DivideLeastLoss with the flat pass's exact
-// stop arithmetic: desired[i] holds member i's initial per-processor
-// table indices (curve point 0), and the stop test re-sums
-// table.PowerAtIndex over every processor in flat order each iteration —
-// bit for bit the loop in fvsst.FitToBudgetGrid. The division is then
-// byte-identical to the flat schedule on any input, at O(total
-// processors) per demotion. Curves must carry consistent step keys
-// (each advance demotes desired[i][Step.Proc] from Step.Idx).
-func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Table, budget units.Power) (pos []int, met bool, err error) {
+// pos[i] is member i's curve position and grant[i] its table power
+// there: the sum of desired[i] minus the savings of its first pos[i]
+// steps, the running total the member's own pass compares against the
+// same budget. The reported point powers are never read. met is false
+// when every curve is at its floor with the budget still exceeded. Curves
+// must pass CheckCurve.
+func DivideLeastLossExact(curves []DemandCurve, desired [][]int, table *power.Table, budget units.Power) (pos []int, grant []units.Power, met bool, err error) {
 	if len(desired) != len(curves) {
-		return nil, false, fmt.Errorf("farm: %d desired sets for %d curves", len(desired), len(curves))
+		return nil, nil, false, fmt.Errorf("farm: %d desired sets for %d curves", len(desired), len(curves))
 	}
-	offsets := make([]int, len(curves))
-	total := 0
+	h := curveHeads{
+		curves:  curves,
+		table:   table,
+		offsets: make([]int, len(curves)),
+		pos:     make([]int, len(curves)),
+		grant:   make([]units.Power, len(curves)),
+	}
+	var start []int
 	for i, d := range desired {
-		offsets[i] = total
-		total += len(d)
-		if len(curves[i].Points) == 0 && len(d) > 0 {
-			return nil, false, fmt.Errorf("farm: member %d has %d processors but an empty curve", i, len(d))
+		if err := CheckCurve(curves[i], d, table); err != nil {
+			return nil, nil, false, fmt.Errorf("farm: member %d: %w", i, err)
 		}
+		h.offsets[i] = len(start)
+		start = append(start, d...)
+		h.grant[i] = fvsst.StartPower(table, d)
 	}
-	actual := make([]int, 0, total)
-	for _, d := range desired {
-		actual = append(actual, d...)
-	}
-	pos = make([]int, len(curves))
-	for {
-		var sum units.Power
-		for _, idx := range actual {
-			sum += table.PowerAtIndex(idx)
-		}
-		if sum <= budget {
-			return pos, true, nil
-		}
-		best := bestHead(curves, offsets, pos)
-		if best < 0 {
-			return pos, false, nil
-		}
-		step := curves[best].Points[pos[best]+1].Step
-		g := offsets[best] + step.Proc
-		if g < 0 || g >= len(actual) || actual[g] != step.Idx {
-			return nil, false, fmt.Errorf("farm: member %d step key (proc %d idx %d) inconsistent with its desired indices", best, step.Proc, step.Idx)
-		}
-		actual[g] = step.Idx - 1
-		pos[best]++
-	}
+	var k fvsst.Kernel
+	k.Start(table, fvsst.StartPower(table, start), &h, len(curves))
+	met = k.Cut(budget)
+	return h.pos, h.grant, met, nil
 }
 
-// advanceLeastLoss moves the best member one point down its curve,
-// reporting false when every member is at its floor.
-func advanceLeastLoss(curves []DemandCurve, offsets, pos []int) bool {
-	best := bestHead(curves, offsets, pos)
-	if best < 0 {
-		return false
+// CheckCurve verifies that a member's curve replays onto its desired
+// indices: every index lies in the table, and each step k ≥ 1 demotes a
+// processor of the member from the index it holds, one step, never below
+// the floor. A curve that fails cannot be divided; the relay root treats
+// such a report as a missed poll.
+func CheckCurve(c DemandCurve, desired []int, table *power.Table) error {
+	if len(c.Points) == 0 {
+		if len(desired) > 0 {
+			return fmt.Errorf("%d processors but an empty curve", len(desired))
+		}
+		return nil
 	}
-	pos[best]++
-	return true
+	idx := append([]int(nil), desired...)
+	for p, i := range idx {
+		if i < 0 || i >= table.Len() {
+			return fmt.Errorf("processor %d desired index %d outside table of %d points", p, i, table.Len())
+		}
+	}
+	for k := 1; k < len(c.Points); k++ {
+		s := c.Points[k].Step
+		if s.Proc < 0 || s.Proc >= len(idx) || s.Idx < 1 || idx[s.Proc] != s.Idx {
+			return fmt.Errorf("step %d key (proc %d idx %d) inconsistent with its desired indices", k, s.Proc, s.Idx)
+		}
+		idx[s.Proc]--
+	}
+	return nil
 }
 
-// bestHead picks the member whose next curve point has the smallest step
-// key (-1 when every member is exhausted).
-func bestHead(curves []DemandCurve, offsets, pos []int) int {
-	best := -1
-	for i, c := range curves {
-		if pos[i]+1 >= len(c.Points) {
-			continue
-		}
-		if best < 0 || c.Points[pos[i]+1].Step.Less(offsets[i], curves[best].Points[pos[best]+1].Step, offsets[best]) {
-			best = i
-		}
+// curveHeads is the kernel's source over member demand curves: a
+// member's head is its next point's step key in flat processor order,
+// and taking it advances the member's position and running power.
+type curveHeads struct {
+	curves  []DemandCurve
+	table   *power.Table
+	offsets []int
+	pos     []int
+	grant   []units.Power
+}
+
+func (h *curveHeads) Head(m int) (fvsst.StepKey, bool) {
+	if h.pos[m]+1 >= len(h.curves[m].Points) {
+		return fvsst.StepKey{}, false
 	}
-	return best
+	key := h.curves[m].Points[h.pos[m]+1].Step
+	key.Proc += h.offsets[m]
+	return key, true
+}
+
+func (h *curveHeads) Take(m int) {
+	h.pos[m]++
+	h.grant[m] -= fvsst.StepSaving(h.table, h.curves[m].Points[h.pos[m]].Step.Idx)
 }

@@ -149,14 +149,10 @@ func TestDivideMatchesFlatGreedy(t *testing.T) {
 		nMembers := 2 + rng.Intn(3)
 		members := make([]member, nMembers)
 		curves := make([]DemandCurve, nMembers)
-		offsets := make([]int, nMembers)
 		desired := make([][]int, nMembers)
-		total := 0
 		for i := range members {
 			members[i] = randomMember(rng, 1+rng.Intn(4), tab.Len())
 			curves[i] = localGreedy(members[i], tab)
-			offsets[i] = total
-			total += len(members[i].desired)
 			desired[i] = members[i].desired
 		}
 		if err := curves[0].Validate(); err != nil {
@@ -171,7 +167,7 @@ func TestDivideMatchesFlatGreedy(t *testing.T) {
 		for _, budget := range []units.Power{floor - 1, floor, (floor + desire) / 2, desire, desire + 10} {
 			wantIdx, wantMet := flatGreedy(members, tab, budget)
 
-			pos, met, err := DivideLeastLossExact(curves, desired, tab, budget)
+			pos, grant, met, err := DivideLeastLossExact(curves, desired, tab, budget)
 			if err != nil {
 				t.Fatalf("seed %d budget %v: %v", seed, budget, err)
 			}
@@ -180,7 +176,19 @@ func TestDivideMatchesFlatGreedy(t *testing.T) {
 			}
 			var got []int
 			for i := range members {
-				got = append(got, applyCurve(members[i], curves[i], pos[i])...)
+				idx := applyCurve(members[i], curves[i], pos[i])
+				got = append(got, idx...)
+				// The grant is the member's own running power at its
+				// position, which on this integer-watt table is its
+				// processor-order re-sum.
+				var want units.Power
+				for _, k := range idx {
+					want += tab.PowerAtIndex(k)
+				}
+				if grant[i] != want || grant[i] != curves[i].Points[pos[i]].Power {
+					t.Fatalf("seed %d budget %v member %d: grant %v, re-sum %v, curve point %v",
+						seed, budget, i, grant[i], want, curves[i].Points[pos[i]].Power)
+				}
 			}
 			for p := range got {
 				if got[p] != wantIdx[p] {
@@ -189,19 +197,6 @@ func TestDivideMatchesFlatGreedy(t *testing.T) {
 				}
 			}
 
-			// The fast point-power variant must agree on this table: the
-			// curve point powers are sums of exact table powers, so both
-			// stop tests see the same values here.
-			fastPos, fastMet := DivideLeastLoss(curves, offsets, budget)
-			if fastMet != wantMet {
-				t.Fatalf("seed %d budget %v: fast met %v, flat %v", seed, budget, fastMet, wantMet)
-			}
-			for i := range pos {
-				if fastPos[i] != pos[i] {
-					t.Fatalf("seed %d budget %v member %d: fast pos %d, exact pos %d",
-						seed, budget, i, fastPos[i], pos[i])
-				}
-			}
 		}
 	}
 }
@@ -211,24 +206,24 @@ func TestDivideExactRejectsBadShapes(t *testing.T) {
 	m := member{desired: []int{2, 3}, loss: [][]float64{{0.3, 0.1, 0}, {0.5, 0.3, 0.1, 0}}}
 	curve := localGreedy(m, tab)
 
-	if _, _, err := DivideLeastLossExact([]DemandCurve{curve}, nil, tab, units.Watts(100)); err == nil {
+	if _, _, _, err := DivideLeastLossExact([]DemandCurve{curve}, nil, tab, units.Watts(100)); err == nil {
 		t.Error("mismatched desired-set count accepted")
 	}
-	if _, _, err := DivideLeastLossExact([]DemandCurve{{}}, [][]int{{1}}, tab, units.Watts(100)); err == nil {
+	if _, _, _, err := DivideLeastLossExact([]DemandCurve{{}}, [][]int{{1}}, tab, units.Watts(100)); err == nil {
 		t.Error("empty curve with processors accepted")
 	}
 	// Inconsistent step key: desired indices that do not match the
 	// curve's demotion sequence.
-	if _, _, err := DivideLeastLossExact([]DemandCurve{curve}, [][]int{{0, 0}}, tab, units.Watts(1)); err == nil {
+	if _, _, _, err := DivideLeastLossExact([]DemandCurve{curve}, [][]int{{0, 0}}, tab, units.Watts(1)); err == nil {
 		t.Error("inconsistent step keys accepted")
 	}
-}
-
-func TestDivideLeastLossPanicsOnOffsetMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on offset/curve count mismatch")
-		}
-	}()
-	DivideLeastLoss([]DemandCurve{{}}, nil, units.Watts(1))
+	// A desired index outside the table.
+	if _, _, _, err := DivideLeastLossExact([]DemandCurve{{Points: []DemandPoint{{Power: 1}}}}, [][]int{{99}}, tab, units.Watts(1)); err == nil {
+		t.Error("out-of-table desired index accepted")
+	}
+	// A step demoting from index 0, below the floor.
+	bad := DemandCurve{Points: []DemandPoint{{Power: 20}, {Power: 10, Step: StepKey{Idx: 0}}}}
+	if _, _, _, err := DivideLeastLossExact([]DemandCurve{bad}, [][]int{{0}}, tab, units.Watts(1)); err == nil {
+		t.Error("step with index 0 accepted")
+	}
 }

@@ -12,13 +12,24 @@
 //	         performance;
 //	Step 3 — assign each processor the minimum voltage for its frequency.
 //
+// Step 2 exists once, as Kernel (steptwo.go): a min-heap of per-source
+// heads in StepKey order plus a running power total. The scheduler, the
+// cluster core, the demand-curve export, the relay root's division and
+// the scenario allocator all run it; FitToBudget is a thin wrapper for
+// callers holding frequencies. The running total is exact — equal to a
+// processor-order re-sum bit for bit — whenever the table's powers are
+// integer watts, as both shipped tables' are. Re-summing rescans survive
+// only as independent witnesses: invariant.StepTwoReplay, optimal.Greedy
+// (the DP's baseline over arbitrary loss functions), the planted
+// scenario.SabotageStepTwoInvert bug, and the test-side witnesses in this
+// package's FuzzStepTwo and farm's division tests.
+//
 // Rescheduling is triggered by the periodic timer T = n·t, by changes to
 // the global power limit, and by idle transitions (§5).
 package fvsst
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/perfmodel"
 	"repro/internal/power"
@@ -72,7 +83,7 @@ type Demotion struct {
 	PredictedLoss float64
 }
 
-// FitToBudget performs Step 2 across all processors: given the ε-constrained
+// FitToBudget performs Step 2 over frequencies: given the ε-constrained
 // assignment, it lowers frequencies — always the processor whose *next
 // lower* setting has the smallest predicted loss versus f_max — until the
 // aggregate table power fits the budget. It returns the adjusted
@@ -82,70 +93,30 @@ type Demotion struct {
 //
 // decs may contain a nil entry for an idle processor; idle processors are
 // treated as having zero loss at any frequency, so they are lowered first.
+// It fills a prediction grid and runs the Kernel, exactly as the
+// Scheduler does.
 func FitToBudget(decs []*perfmodel.Decomposition, assigned []units.Frequency, table *power.Table, budget units.Power) ([]units.Frequency, bool, error) {
-	out, _, met, err := FitToBudgetTraced(decs, assigned, table, budget)
-	return out, met, err
-}
-
-// FitToBudgetTraced is FitToBudget returning, in addition, the ordered
-// list of single-step reductions it took — the Step-2 attribution the
-// observability layer records per decision.
-func FitToBudgetTraced(decs []*perfmodel.Decomposition, assigned []units.Frequency, table *power.Table, budget units.Power) ([]units.Frequency, []Demotion, bool, error) {
 	if len(decs) != len(assigned) {
-		return nil, nil, false, fmt.Errorf("fvsst: %d decompositions for %d assignments", len(decs), len(assigned))
+		return nil, false, fmt.Errorf("fvsst: %d decompositions for %d assignments", len(decs), len(assigned))
 	}
-	set := table.Frequencies()
-	out := make([]units.Frequency, len(assigned))
-	copy(out, assigned)
-
-	totalPower := func() (units.Power, error) {
-		var sum units.Power
-		for _, f := range out {
-			p, err := table.PowerAt(f)
-			if err != nil {
-				return 0, err
-			}
-			sum += p
+	var g perfmodel.PredGrid
+	g.Reset(len(decs), table.Frequencies())
+	idx := make([]int, len(assigned))
+	for i, f := range assigned {
+		if idx[i] = table.IndexOf(f); idx[i] < 0 {
+			return nil, false, fmt.Errorf("fvsst: cpu %d frequency %v not in table", i, f)
 		}
-		return sum, nil
+		if decs[i] != nil {
+			g.Fill(i, *decs[i])
+		}
 	}
-
-	var demotions []Demotion
-	for {
-		sum, err := totalPower()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if sum <= budget {
-			return out, demotions, true, nil
-		}
-		// Pick the processor whose next-lower setting costs least. Ties —
-		// common when several processors lack counter data (nil
-		// decomposition, zero predicted loss) — break toward the one at
-		// the highest frequency, so equal-loss reductions level the
-		// assignment instead of driving one processor to the floor.
-		best := -1
-		bestLoss := math.Inf(1)
-		var bestF units.Frequency
-		for i, f := range out {
-			less, ok := set.NextBelow(f)
-			if !ok {
-				continue // already at minimum
-			}
-			loss := 0.0
-			if decs[i] != nil {
-				loss = decs[i].PerfLoss(set.Max(), less)
-			}
-			if loss < bestLoss || (loss == bestLoss && best >= 0 && f > out[best]) {
-				best, bestLoss, bestF = i, loss, less
-			}
-		}
-		if best < 0 {
-			return out, demotions, false, nil // floor reached, budget still exceeded
-		}
-		demotions = append(demotions, Demotion{CPU: best, From: out[best], To: bestF, PredictedLoss: bestLoss})
-		out[best] = bestF
+	var k Kernel
+	_, met := k.Fit(&g, idx, table, budget, nil)
+	out := make([]units.Frequency, len(idx))
+	for i, fi := range idx {
+		out[i] = table.FrequencyAtIndex(fi)
 	}
+	return out, met, nil
 }
 
 // EpsilonIndexGrid is Step 1 over a pre-evaluated prediction grid: the
@@ -160,54 +131,6 @@ func EpsilonIndexGrid(g *perfmodel.PredGrid, cpu int, epsilon float64) int {
 		}
 	}
 	return n - 1
-}
-
-// FitToBudgetGrid is Step 2 in index space: actualIdx[i] indexes processor
-// i's current setting in the table (ascending); the fit lowers indices —
-// always the processor whose next step down has the smallest grid loss,
-// ties toward the higher current index — until the aggregate table power
-// fits the budget, mutating actualIdx in place. Invalid grid rows (idle or
-// unobserved processors) count as zero loss, so they are lowered first.
-// Demotions are appended to the caller's buffer (pass a len-0 slice to
-// reuse its backing array) and returned with met, which is false when the
-// floor is reached with the budget still exceeded. The decisions are
-// identical to FitToBudgetTraced over the same inputs; only the data
-// representation differs — no per-step frequency searches, no allocation
-// beyond demotion growth.
-func FitToBudgetGrid(g *perfmodel.PredGrid, actualIdx []int, table *power.Table, budget units.Power, demotions []Demotion) ([]Demotion, bool) {
-	for {
-		var sum units.Power
-		for _, idx := range actualIdx {
-			sum += table.PowerAtIndex(idx)
-		}
-		if sum <= budget {
-			return demotions, true
-		}
-		best := -1
-		bestLoss := math.Inf(1)
-		for i, idx := range actualIdx {
-			if idx == 0 {
-				continue // already at minimum
-			}
-			loss := 0.0
-			if g.Valid(i) {
-				loss = g.Loss(i, idx-1)
-			}
-			if loss < bestLoss || (loss == bestLoss && best >= 0 && idx > actualIdx[best]) {
-				best, bestLoss = i, loss
-			}
-		}
-		if best < 0 {
-			return demotions, false // floor reached, budget still exceeded
-		}
-		demotions = append(demotions, Demotion{
-			CPU:           best,
-			From:          table.FrequencyAtIndex(actualIdx[best]),
-			To:            table.FrequencyAtIndex(actualIdx[best] - 1),
-			PredictedLoss: bestLoss,
-		})
-		actualIdx[best]--
-	}
 }
 
 // Voltages performs Step 3: the minimum table voltage for each assigned

@@ -249,6 +249,7 @@ type Scheduler struct {
 	volts         []units.Voltage
 	scratchAssign []Assignment
 	scratchDemo   []Demotion
+	step2         Kernel
 	// logDecisions gates the decision log. On (the default) every pass
 	// copies its assignments and demotions into a fresh Decision and
 	// appends it; off, Schedule's Decision aliases the scratch buffers —
@@ -544,7 +545,7 @@ func (s *Scheduler) Schedule(trigger string) (Decision, error) {
 		step2Start = time.Now()
 	}
 	copy(s.actualIdx, s.desiredIdx)
-	demotions, met := FitToBudgetGrid(&s.grid, s.actualIdx, s.cfg.Table, s.budget, s.scratchDemo[:0])
+	demotions, met := s.step2.Fit(&s.grid, s.actualIdx, s.cfg.Table, s.budget, s.scratchDemo[:0])
 	s.scratchDemo = demotions[:0] // keep any grown backing array
 	var step3Start time.Time
 	if trace {

@@ -21,10 +21,14 @@ import (
 // least-loss demotion sequence with flat-greedy step keys), and answers
 // the grant that follows by scheduling and actuating the subtree under
 // the granted budget. A Root divides its budget across relay demand
-// curves with farm.DivideLeastLossExact — the same greedy, the same stop
-// arithmetic, as one flat fvsst Step-2 pass over the union — so a
-// fault-free two-level tree produces byte-identical schedules to a flat
-// coordinator over the same nodes.
+// curves with farm.DivideLeastLossExact, which runs the one Step-2
+// kernel (fvsst.Kernel) with member curves as its heads: the same order
+// and the same running power total as one flat Step-2 pass over the
+// union, so a fault-free two-level tree produces byte-identical
+// schedules to a flat coordinator over the same nodes. Each relay is
+// granted the root's own running total for its members at the cut, not
+// the power it reported, and a report whose curve does not replay onto
+// its desired indices is a missed poll, charged like a silent relay.
 //
 // Budget safety composes up the tree: a relay charges silent children
 // their worst case under silence (Coordinator.settle), reports that
@@ -487,7 +491,14 @@ func (r *Root) demandPhase(passID uint64) []demandPoll {
 						Step:  farm.StepKey{Loss: p.StepLoss, Idx: p.StepIdx, Proc: p.StepProc},
 					}
 				}
-				d.desired = append([]int(nil), rep.Desired...)
+			}
+			d.desired = append([]int(nil), rep.Desired...)
+			// A curve that does not replay onto its desired indices cannot
+			// be divided: charge the relay as silent rather than abort the
+			// round.
+			if err := farm.CheckCurve(d.curve, d.desired, c.cfg.Fvsst.Table); err != nil {
+				c.recordMiss(ns, fmt.Errorf("netcluster: %s demand report: %w", ns.spec.Name, err))
+				return
 			}
 			demands[i] = d
 		}(i, ns)
@@ -552,7 +563,7 @@ func (r *Root) RunRound() error {
 		}
 	}
 	divideStart := time.Now()
-	pos, divideMet, err := farm.DivideLeastLossExact(curves, desired, c.cfg.Fvsst.Table, liveBudget)
+	_, memberGrant, divideMet, err := farm.DivideLeastLossExact(curves, desired, c.cfg.Fvsst.Table, liveBudget)
 	if err != nil {
 		return err
 	}
@@ -571,14 +582,14 @@ func (r *Root) RunRound() error {
 		if !demands[i].ok {
 			continue
 		}
-		var grantW units.Power
+		var grant units.Power
 		for m, idx := range members {
 			if idx == i {
-				grantW = curves[m].Points[pos[m]].Power
+				grant = memberGrant[m]
 				break
 			}
 		}
-		grants[i].Grant = grantW
+		grants[i].Grant = grant
 		wg.Add(1)
 		go func(i int, ns *nodeState, grantW units.Power) {
 			defer wg.Done()
@@ -599,7 +610,7 @@ func (r *Root) RunRound() error {
 			ns.lastCharged = grants[i].Charged
 			ns.granted = true
 			c.recordAlive(ns)
-		}(i, ns, grantW)
+		}(i, ns, grant)
 	}
 	wg.Wait()
 	grantDur := time.Since(grantStart)

@@ -2,6 +2,7 @@ package netcluster
 
 import (
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,5 +355,105 @@ func TestMixedFleetNegotiation(t *testing.T) {
 	}
 	if snap.DeltaIn == 0 {
 		t.Error("steady-state counter reports never went delta")
+	}
+}
+
+// tamperDialer dials over TCP and, once armed, rewrites every demand
+// report one relay sends the root — a relay with a corrupt or lying
+// demand exporter.
+type tamperDialer struct {
+	target string
+	armed  *atomic.Bool
+	tamper func(*proto.DemandReport)
+}
+
+func (d tamperDialer) Dial(node, addr string, timeout time.Duration) (proto.Conn, error) {
+	conn, err := TCPDialer{}.Dial(node, addr, timeout)
+	if err != nil || node != d.target {
+		return conn, err
+	}
+	return tamperConn{Conn: conn, d: d}, nil
+}
+
+type tamperConn struct {
+	proto.Conn
+	d tamperDialer
+}
+
+func (c tamperConn) Recv() (*proto.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.DemandReport != nil && c.d.armed.Load() {
+		c.d.tamper(m.DemandReport)
+	}
+	return m, err
+}
+
+// TestRootSurvivesMalformedDemand feeds the root demand reports a relay
+// could send but the division cannot trust. A report whose curve does not
+// replay onto its desired indices — an index outside the table, a step
+// from index 0, an empty curve, steps inconsistent with the desire, a
+// desire too short for its steps — is a missed poll: the round completes,
+// the relay is charged like a silent one, and Σcharged stays within the
+// budget. An inflated point power is harmless, because the root grants
+// each relay its own running total, never the reported figure.
+func TestRootSurvivesMalformedDemand(t *testing.T) {
+	cases := []struct {
+		name    string
+		invalid bool
+		tamper  func(*proto.DemandReport)
+	}{
+		{"desired-out-of-range", true, func(r *proto.DemandReport) { r.Desired[0] = 99 }},
+		{"step-idx-zero", true, func(r *proto.DemandReport) { r.Points[1].StepIdx = 0 }},
+		{"empty-curve", true, func(r *proto.DemandReport) { r.Points = nil }},
+		{"inconsistent-steps", true, func(r *proto.DemandReport) {
+			for i := range r.Desired {
+				r.Desired[i] = 0
+			}
+		}},
+		{"short-desired", true, func(r *proto.DemandReport) { r.Desired = r.Desired[:1] }},
+		{"inflated-power", false, func(r *proto.DemandReport) {
+			for i := range r.Points {
+				r.Points[i].PowerW *= 10
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const n, fanout, healthy, tampered = 4, 2, 2, 3
+			budget := units.Watts(600) // tight enough to force Step-2 demotions
+			armed := &atomic.Bool{}
+			root, _ := startTree(t, startFleet(t, n, 31), fanout, "", Config{
+				Name:   "root",
+				Fvsst:  testFvsst(),
+				Budget: budget,
+				Seed:   31,
+				Dialer: tamperDialer{target: "relay1", armed: armed, tamper: tc.tamper},
+			})
+			for k := 0; k < healthy+tampered; k++ {
+				armed.Store(k >= healthy)
+				if err := root.RunRound(); err != nil {
+					t.Fatalf("round %d: %v", k, err)
+				}
+			}
+			decs := root.RootDecisions()
+			preTamper := decs[healthy-1].Grants[1]
+			for k, d := range decs {
+				if d.Charged > d.Budget {
+					t.Errorf("round %d: charged %v over budget %v", k, d.Charged, d.Budget)
+				}
+				if k < healthy {
+					continue
+				}
+				g := d.Grants[1]
+				if tc.invalid {
+					if g.Acked || g.Charged != preTamper.Charged {
+						t.Errorf("round %d: malformed relay acked=%v charged %v, want a missed poll held at %v",
+							k, g.Acked, g.Charged, preTamper.Charged)
+					}
+				} else if !g.Acked || !d.BudgetMet || g.Grant > d.Budget {
+					t.Errorf("round %d: inflated report: grant %+v, budget met %v", k, g, d.BudgetMet)
+				}
+			}
+		})
 	}
 }

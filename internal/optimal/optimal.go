@@ -181,7 +181,9 @@ func SolveLimits(p Problem, lim Limits) (Assignment, error) {
 // desired indices, repeatedly demote the CPU whose next-lower point costs
 // the least predicted loss, ties to the higher current index — and
 // returns the assignment it reaches. It is the baseline every gap is
-// measured against and is bit-compatible with fvsst.FitToBudgetGrid.
+// measured against and is bit-compatible with the Step-2 kernel
+// (fvsst.Kernel) on integer-watt tables; it stays a re-summing rescan as
+// an independent witness over arbitrary Loss functions.
 func Greedy(p Problem) Assignment {
 	n := len(p.Upper)
 	idx := make([]int, n)

@@ -32,9 +32,9 @@ type Table struct {
 }
 
 // NewTable validates and sorts the given operating points: frequencies must
-// be unique and positive, and voltage and power must be non-decreasing in
-// frequency (a higher clock can never need less voltage or draw less peak
-// power).
+// be unique and positive, voltage must be non-decreasing and power strictly
+// increasing in frequency (a higher clock can never need less voltage or
+// draw less peak power), so every Step-2 demotion recovers power.
 func NewTable(points []OperatingPoint) (*Table, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("power: table must have at least one operating point")

@@ -553,7 +553,8 @@ func reportFor(d counters.Delta, idle bool) report {
 }
 
 // sabotageStepTwoInvert re-runs Step 2 with the loss comparison
-// inverted — a copy of fvsst.FitToBudgetGrid's loop with `<` flipped to
+// inverted — a re-summing rescan of Step 2 (fvsst.Kernel's rule, kept
+// here as a planted bug rather than a production path) with `<` flipped to
 // `>` against a +Inf sentinel, the classic polarity bug. The rewrite
 // leaves desired frequencies in place (the broken loop never finds a
 // victim), recomputes the assignment fields, and drops the demotion log,

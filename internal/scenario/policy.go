@@ -219,9 +219,10 @@ func Allocate(allocator string, grid *perfmodel.PredGrid, desired []int, table *
 			idx[best]--
 		}
 	default: // greedy under debounced desires
-		p := optimal.Problem{Table: table, Budget: budget, Upper: desired, Loss: lossAt}
-		g := optimal.Greedy(p)
-		return g.Idx, g.Feasible, nil
+		idx := append([]int(nil), desired...)
+		var k fvsst.Kernel
+		_, met := k.Fit(grid, idx, table, budget, nil)
+		return idx, met, nil
 	}
 }
 
