@@ -107,12 +107,13 @@ func (c *Coordinator) quietSpan(until float64) int {
 	return n
 }
 
-// skipSpan advances every machine n quanta (samplers still collect every
-// quantum) and moves the loop clock without running coordinator work.
+// skipSpan advances every machine n quanta (each sampler ends up exactly
+// as if it had collected every quantum) and moves the loop clock without
+// running coordinator work.
 func (c *Coordinator) skipSpan(n int) error {
 	for _, nd := range c.nodes {
 		if c.homogeneous {
-			if err := nd.M.FastForwardQuanta(n, nd.sampler.Collect); err != nil {
+			if err := nd.M.FastForwardQuanta(n, nd.sampler); err != nil {
 				return err
 			}
 			continue

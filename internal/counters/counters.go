@@ -51,21 +51,19 @@ func (cur Sample) Sub(prev Sample) (Delta, error) {
 	if cur.Time < prev.Time {
 		return Delta{}, fmt.Errorf("counters: samples out of order (%v < %v)", cur.Time, prev.Time)
 	}
-	pairs := []struct {
-		name     string
-		old, new uint64
-	}{
-		{"instructions", prev.Instructions, cur.Instructions},
-		{"cycles", prev.Cycles, cur.Cycles},
-		{"halted", prev.HaltedCycles, cur.HaltedCycles},
-		{"l2", prev.L2Refs, cur.L2Refs},
-		{"l3", prev.L3Refs, cur.L3Refs},
-		{"mem", prev.MemRefs, cur.MemRefs},
-	}
-	for _, p := range pairs {
-		if p.new < p.old {
-			return Delta{}, fmt.Errorf("counters: %s counter ran backwards (%d < %d)", p.name, p.new, p.old)
-		}
+	switch {
+	case cur.Instructions < prev.Instructions:
+		return Delta{}, backwards("instructions", cur.Instructions, prev.Instructions)
+	case cur.Cycles < prev.Cycles:
+		return Delta{}, backwards("cycles", cur.Cycles, prev.Cycles)
+	case cur.HaltedCycles < prev.HaltedCycles:
+		return Delta{}, backwards("halted", cur.HaltedCycles, prev.HaltedCycles)
+	case cur.L2Refs < prev.L2Refs:
+		return Delta{}, backwards("l2", cur.L2Refs, prev.L2Refs)
+	case cur.L3Refs < prev.L3Refs:
+		return Delta{}, backwards("l3", cur.L3Refs, prev.L3Refs)
+	case cur.MemRefs < prev.MemRefs:
+		return Delta{}, backwards("mem", cur.MemRefs, prev.MemRefs)
 	}
 	return Delta{
 		Window:       cur.Time - prev.Time,
@@ -76,6 +74,20 @@ func (cur Sample) Sub(prev Sample) (Delta, error) {
 		L3Refs:       cur.L3Refs - prev.L3Refs,
 		MemRefs:      cur.MemRefs - prev.MemRefs,
 	}, nil
+}
+
+func backwards(name string, cur, prev uint64) error {
+	return fmt.Errorf("counters: %s counter ran backwards (%d < %d)", name, cur, prev)
+}
+
+// AddN advances s's counters by n·d, leaving Time alone.
+func (s *Sample) AddN(d Sample, n uint64) {
+	s.Instructions += d.Instructions * n
+	s.Cycles += d.Cycles * n
+	s.HaltedCycles += d.HaltedCycles * n
+	s.L2Refs += d.L2Refs * n
+	s.L3Refs += d.L3Refs * n
+	s.MemRefs += d.MemRefs * n
 }
 
 // Add merges another delta into d (aggregation across sampling windows, as

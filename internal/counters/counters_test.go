@@ -3,6 +3,7 @@ package counters
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,12 +22,30 @@ func TestSampleSub(t *testing.T) {
 }
 
 func TestSampleSubErrors(t *testing.T) {
-	prev := Sample{Time: 2.0, Instructions: 100}
-	if _, err := (Sample{Time: 1.0}).Sub(prev); err == nil {
-		t.Error("out-of-order samples accepted")
-	}
-	if _, err := (Sample{Time: 3.0, Instructions: 50}).Sub(prev); err == nil {
-		t.Error("backwards counter accepted")
+	prev := Sample{Time: 2.0, Instructions: 10, Cycles: 10, HaltedCycles: 10, L2Refs: 10, L3Refs: 10, MemRefs: 10}
+	for _, tc := range []struct {
+		name string // must appear in the error
+		back func(s *Sample)
+	}{
+		{"out of order", func(s *Sample) { s.Time = 1.0 }},
+		{"instructions", func(s *Sample) { s.Instructions = 9 }},
+		{"cycles", func(s *Sample) { s.Cycles = 9 }},
+		{"halted", func(s *Sample) { s.HaltedCycles = 9 }},
+		{"l2", func(s *Sample) { s.L2Refs = 9 }},
+		{"l3", func(s *Sample) { s.L3Refs = 9 }},
+		{"mem", func(s *Sample) { s.MemRefs = 9 }},
+	} {
+		cur := prev
+		cur.Time = 3.0
+		tc.back(&cur)
+		_, err := cur.Sub(prev)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%s: error %q does not name it", tc.name, err)
+		}
 	}
 }
 
@@ -129,6 +148,34 @@ func TestHistoryRing(t *testing.T) {
 	// Requesting more than stored aggregates what exists.
 	if sum := h.SumLast(10); sum.Instructions != 12 {
 		t.Errorf("SumLast(10) = %d, want 12", sum.Instructions)
+	}
+}
+
+func TestHistoryMatchesAppendOnly(t *testing.T) {
+	// The ring against a plain slice that keeps every delta: after each
+	// push, every Last(i) and SumLast(n) must agree with the slice's tail.
+	for _, capacity := range []int{1, 2, 3, 41} {
+		h := NewHistory(capacity)
+		var all []Delta
+		for p := 1; p <= 200; p++ {
+			d := Delta{Window: float64(p) / 7, Instructions: uint64(p * p), MemRefs: uint64(p)}
+			h.Push(d)
+			all = append(all, d)
+			if want := min(p, capacity); h.Len() != want {
+				t.Fatalf("cap %d push %d: Len = %d, want %d", capacity, p, h.Len(), want)
+			}
+			var sum Delta
+			for i := 0; i < h.Len(); i++ {
+				want := all[len(all)-1-i]
+				if got := h.Last(i); got != want {
+					t.Fatalf("cap %d push %d: Last(%d) = %+v, want %+v", capacity, p, i, got, want)
+				}
+				sum = sum.Add(want)
+				if got := h.SumLast(i + 1); got != sum {
+					t.Fatalf("cap %d push %d: SumLast(%d) = %+v, want %+v", capacity, p, i+1, got, sum)
+				}
+			}
+		}
 	}
 }
 

@@ -65,6 +65,41 @@ func (s *Sampler) Collect() error {
 	return nil
 }
 
+// Reader returns the reader the sampler collects from.
+func (s *Sampler) Reader() Reader { return s.reader }
+
+// Replay records on primed processor cpu what len(ends) further Collect
+// calls would, without reading the counters, when the processor's
+// counters advance by exactly d between consecutive reads and the j-th
+// read happens at time ends[j]: each window carries d's counts, and its
+// Window is ends[j] minus the previous read's time — the subtraction Sub
+// performs. Only the newest windows the history can hold are written.
+func (s *Sampler) Replay(cpu int, d Sample, ends []float64) {
+	k := len(ends)
+	if k == 0 {
+		return
+	}
+	last := &s.last[cpu]
+	first := max(0, k-len(s.history[cpu].buf))
+	prev := last.Time
+	if first > 0 {
+		prev = ends[first-1]
+	}
+	w := Delta{Instructions: d.Instructions, Cycles: d.Cycles, HaltedCycles: d.HaltedCycles,
+		L2Refs: d.L2Refs, L3Refs: d.L3Refs, MemRefs: d.MemRefs}
+	for _, t := range ends[first:] {
+		w.Window = t - prev
+		s.history[cpu].Push(w)
+		prev = t
+	}
+	last.AddN(d, uint64(k))
+	last.Time = ends[k-1]
+}
+
+// Last returns processor cpu's baseline: the reading its next window
+// starts from.
+func (s *Sampler) Last(cpu int) Sample { return s.last[cpu] }
+
 // History returns the delta history of processor cpu.
 func (s *Sampler) History(cpu int) *History { return s.history[cpu] }
 
@@ -95,7 +130,9 @@ func NewHistory(capacity int) *History {
 // Push appends a delta, evicting the oldest when full.
 func (h *History) Push(d Delta) {
 	h.buf[h.next] = d
-	h.next = (h.next + 1) % len(h.buf)
+	if h.next++; h.next == len(h.buf) {
+		h.next = 0
+	}
 	if h.size < len(h.buf) {
 		h.size++
 	}
@@ -110,7 +147,10 @@ func (h *History) Last(i int) Delta {
 	if i < 0 || i >= h.size {
 		panic(fmt.Sprintf("counters: history index %d out of range [0,%d)", i, h.size))
 	}
-	pos := (h.next - 1 - i + 2*len(h.buf)) % len(h.buf)
+	pos := h.next - 1 - i
+	if pos < 0 {
+		pos += len(h.buf)
+	}
 	return h.buf[pos]
 }
 

@@ -167,13 +167,14 @@ func TestKernelFitsWithoutHeapWork(t *testing.T) {
 	}
 }
 
-// BenchmarkStepTwo times one Step-2 pass at 256, 1024 and 4096
-// processors under a deep cut — 30% of the way from the floor to the
-// desire — so most processors take several demotions. ns/op at 4N over
+// BenchmarkStepTwo times one Step-2 pass at 256 to 81920 processors
+// (the largest is 10k nodes × 8 CPUs) under a deep cut — 30% of the way
+// from the floor to the desire — so most processors take several
+// demotions. ns/op at 4N over
 // ns/op at N near 4 (not 16) shows the O(D log N) kernel.
 func BenchmarkStepTwo(b *testing.B) {
 	table := power.PaperTable1()
-	for _, n := range []int{256, 1024, 4096} {
+	for _, n := range []int{256, 1024, 4096, 20480, 81920} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			var g perfmodel.PredGrid
 			g.Reset(n, table.Frequencies())

@@ -12,10 +12,11 @@
 // is replayed in bulk — integer counter additions, one idle-cursor
 // advance, and the exact per-quantum floating-point accumulations on the
 // clock and both energy meters (repeated addition is observable;
-// summing once would round differently). Anything the probes cannot
-// certify — jitter draws, Monte-Carlo execution, arrivals maturing,
-// idle-loop phase wrap — falls back to per-quantum stepping, so the fast
-// path is an optimisation, never a semantic.
+// summing once would round differently), plus the windows an attached
+// counter sampler would have collected, written in bulk. Anything the
+// probes cannot certify — jitter draws, Monte-Carlo execution, arrivals
+// maturing, idle-loop phase wrap — falls back to per-quantum stepping,
+// so the fast path is an optimisation, never a semantic.
 package machine
 
 import (
@@ -77,15 +78,6 @@ func subSample(a, b counters.Sample) counters.Sample {
 	}
 }
 
-func addSampleN(dst *counters.Sample, d counters.Sample, n uint64) {
-	dst.Instructions += d.Instructions * n
-	dst.Cycles += d.Cycles * n
-	dst.HaltedCycles += d.HaltedCycles * n
-	dst.L2Refs += d.L2Refs * n
-	dst.L3Refs += d.L3Refs * n
-	dst.MemRefs += d.MemRefs * n
-}
-
 // steadyEligible reports whether the machine's next quantum is a pure
 // function of its current per-quantum state — the precondition for
 // probe-and-replay. It requires: no matured or runnable work, no stolen
@@ -126,18 +118,22 @@ func (m *Machine) steadyEligible() bool {
 }
 
 // FastForwardQuanta advances exactly n dispatch quanta, equivalent —
-// byte for byte on counters, energy, clock, completions and RNG state —
-// to n iterations of { StepQuantum(); after() }. after (which may be
-// nil) runs at the end of every quantum with the machine fully advanced,
-// the hook a sampler collecting per-quantum windows hangs on; it must
-// observe the machine only, not mutate it. Steady spans are replayed in
-// bulk; everything else steps.
-func (m *Machine) FastForwardQuanta(n int, after func() error) error {
+// byte for byte on counters, energy, clock, completions and RNG state,
+// and on the history and baselines of sampler s — to n iterations of
+// { StepQuantum(); s.Collect() }. s may be nil (no sampler); otherwise it
+// must read this machine. Steady spans are replayed in bulk and their
+// windows written to s in bulk; everything else steps and collects.
+func (m *Machine) FastForwardQuanta(n int, s *counters.Sampler) error {
 	if n < 0 {
 		return m.stepError("fast-forward", fmt.Errorf("negative quantum count %d", n))
 	}
+	// A sampler over this machine has its CPU count, and the probes'
+	// Collect calls prime it, so a replay can always write its windows.
+	if s != nil && s.Reader() != m {
+		return m.stepError("fast-forward", fmt.Errorf("sampler does not read this machine"))
+	}
 	for n > 0 {
-		k, err := m.fastForwardSpan(n, after)
+		k, err := m.fastForwardSpan(n, s)
 		if err != nil {
 			return err
 		}
@@ -147,13 +143,13 @@ func (m *Machine) FastForwardQuanta(n int, after func() error) error {
 }
 
 // fastForwardSpan advances between 1 and n quanta and reports how many.
-func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
+func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
 	stepOne := func() error {
 		if err := m.StepQuantum(); err != nil {
 			return err
 		}
-		if after != nil {
-			return after()
+		if s != nil {
+			return s.Collect()
 		}
 		return nil
 	}
@@ -240,68 +236,62 @@ func (m *Machine) fastForwardSpan(n int, after func() error) (int, error) {
 	// Replay: the certified quantum, k times. Integer counter work is
 	// batched; the clock and energy meters run their per-quantum float
 	// additions so accumulated rounding matches the stepped engine bit
-	// for bit.
+	// for bit. With a sampler, the loop also records each replayed
+	// quantum's clock value, from which the sampler writes the windows
+	// k Collect calls would have.
 	dt := m.cfg.Quantum
 	cpuP := m.TotalCPUPower()
 	sysP := m.cfg.NonCPU + cpuP
-	if after == nil {
-		for i, c := range m.cpus {
-			p := &m.ffProbe[i]
-			addSampleN(&c.totals, p.d, uint64(k))
-			if p.d.Instructions > 0 {
-				c.idleCursor.AdvanceWithinPhase(p.d.Instructions * uint64(k))
-			}
+	for i, c := range m.cpus {
+		p := &m.ffProbe[i]
+		c.totals.AddN(p.d, uint64(k))
+		if p.d.Instructions > 0 {
+			c.idleCursor.AdvanceWithinPhase(p.d.Instructions * uint64(k))
 		}
-		// Validate exactly as the per-meter calls would, then run all five
-		// accumulator chains (two meters' energy+elapsed, the clock) in one
-		// fused loop: each chain still performs its per-quantum addition in
-		// sequence — bit-identical to k separate Accumulate/Tick calls —
-		// but the independent chains overlap in the pipeline instead of
-		// running back to back.
-		if err := m.cpuEnergy.AccumulateRepeat(cpuP, dt, 0); err != nil {
-			return done, m.stepError("cpu-energy", err)
-		}
-		if err := m.energy.AccumulateRepeat(sysP, dt, 0); err != nil {
-			return done, m.stepError("system-energy", err)
-		}
-		cpuT, cpuN := m.cpuEnergy.ReplayCells()
-		sysT, sysN := m.energy.ReplayCells()
-		nowC := m.clock.ReplayCell()
-		cpuInc := units.EnergyOver(cpuP, dt)
-		sysInc := units.EnergyOver(sysP, dt)
-		q := m.clock.Quantum()
-		ct, cn, st, sn, now := *cpuT, *cpuN, *sysT, *sysN, *nowC
-		for j := 0; j < k; j++ {
-			ct += cpuInc
-			cn += dt
-			st += sysInc
-			sn += dt
-			now += q
-		}
-		*cpuT, *cpuN, *sysT, *sysN, *nowC = ct, cn, st, sn, now
-		return done + k, nil
 	}
+	// Validate exactly as the per-meter calls would, then run all five
+	// accumulator chains (two meters' energy+elapsed, the clock) in one
+	// fused loop: each chain still performs its per-quantum addition in
+	// sequence — bit-identical to k separate Accumulate/Tick calls — but
+	// the independent chains overlap in the pipeline instead of running
+	// back to back.
+	if err := m.cpuEnergy.AccumulateRepeat(cpuP, dt, 0); err != nil {
+		return done, m.stepError("cpu-energy", err)
+	}
+	if err := m.energy.AccumulateRepeat(sysP, dt, 0); err != nil {
+		return done, m.stepError("system-energy", err)
+	}
+	var ends []float64
+	if s != nil {
+		if cap(m.ffEnds) < k {
+			m.ffEnds = make([]float64, k)
+		}
+		ends = m.ffEnds[:k]
+	}
+	cpuT, cpuN := m.cpuEnergy.ReplayCells()
+	sysT, sysN := m.energy.ReplayCells()
+	nowC := m.clock.ReplayCell()
+	cpuInc := units.EnergyOver(cpuP, dt)
+	sysInc := units.EnergyOver(sysP, dt)
+	q := m.clock.Quantum()
+	ct, cn, st, sn, now := *cpuT, *cpuN, *sysT, *sysN, *nowC
 	for j := 0; j < k; j++ {
-		for i, c := range m.cpus {
-			p := &m.ffProbe[i]
-			addSampleN(&c.totals, p.d, 1)
-			if p.d.Instructions > 0 {
-				c.idleCursor.AdvanceWithinPhase(p.d.Instructions)
-			}
-		}
-		if err := m.cpuEnergy.Accumulate(cpuP, dt); err != nil {
-			return done, m.stepError("cpu-energy", err)
-		}
-		if err := m.energy.Accumulate(sysP, dt); err != nil {
-			return done, m.stepError("system-energy", err)
-		}
-		m.clock.Tick()
-		done++
-		if err := after(); err != nil {
-			return done, err
+		ct += cpuInc
+		cn += dt
+		st += sysInc
+		sn += dt
+		now += q
+		if j < len(ends) {
+			ends[j] = now
 		}
 	}
-	return done, nil
+	*cpuT, *cpuN, *sysT, *sysN, *nowC = ct, cn, st, sn, now
+	if s != nil {
+		for i := range m.ffProbe {
+			s.Replay(i, m.ffProbe[i].d, ends)
+		}
+	}
+	return done + k, nil
 }
 
 // AdvanceTo advances the machine to simulation time t — inclusive of the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/workload"
 )
 
@@ -137,55 +138,146 @@ func TestAdvanceToMatchesStepWithActuation(t *testing.T) {
 	diffAdvance(t, cfg, []float64{0.25, 1.0, 2.0, 5.0, 9.0, 20.0}, apply)
 }
 
-func TestFastForwardCallbackMatchesStep(t *testing.T) {
-	// With a per-quantum callback the fast path must fire it every
-	// quantum, fully advanced — the contract a window sampler relies on.
-	cfg := quietConfig()
-	mkMachine := func() *Machine {
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Submit(burst(1.507, 2)); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	collect := func(m *Machine, out *[]string) func() error {
-		return func() error {
-			s, err := m.ReadCounters(0)
-			if err != nil {
-				return err
-			}
-			*out = append(*out, fmt.Sprintf("%v %+v %+v", m.Now(), s, m.LastQuantum(0)))
-			return nil
+// samplerState renders each CPU's baseline and every window its history
+// holds, newest first — the state a bulk replay must reproduce exactly.
+func samplerState(s *counters.Sampler) string {
+	var b strings.Builder
+	for cpu := 0; cpu < s.NumCPUs(); cpu++ {
+		h := s.History(cpu)
+		fmt.Fprintf(&b, "cpu%d last=%+v\n", cpu, s.Last(cpu))
+		for i := 0; i < h.Len(); i++ {
+			fmt.Fprintf(&b, "  %+v\n", h.Last(i))
 		}
 	}
-	const n = 400
-	ref := mkMachine()
-	var refSeq []string
-	refAfter := collect(ref, &refSeq)
-	for i := 0; i < n; i++ {
-		ref.Step()
-		if err := refAfter(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	des := mkMachine()
-	var desSeq []string
-	if err := des.FastForwardQuanta(n, collect(des, &desSeq)); err != nil {
+	return b.String()
+}
+
+// newSampled builds a machine from cfg and a sampler over it.
+func newSampled(t *testing.T, cfg Config, histLen int) (*Machine, *counters.Sampler) {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(desSeq) != n {
-		t.Fatalf("callback fired %d times, want %d", len(desSeq), n)
+	s, err := counters.NewSampler(m, histLen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range refSeq {
-		if refSeq[i] != desSeq[i] {
-			t.Fatalf("quantum %d diverged:\nstepped:  %s\nadvanced: %s", i, refSeq[i], desSeq[i])
+	return m, s
+}
+
+// stepCollect is the reference FastForwardQuanta(n, s) must reproduce.
+func stepCollect(t *testing.T, m *Machine, s *counters.Sampler, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := m.StepQuantum(); err != nil {
+			t.Fatal(err)
 		}
+		if err := s.Collect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// requireSameSampled fails unless both machines and both samplers are
+// byte-identical.
+func requireSameSampled(t *testing.T, ref *Machine, refS *counters.Sampler, des *Machine, desS *counters.Sampler) {
+	t.Helper()
+	if got, want := samplerState(desS), samplerState(refS); got != want {
+		t.Fatalf("sampler diverged:\n--- stepped ---\n%s--- advanced ---\n%s", want, got)
 	}
 	if got, want := ffFingerprint(des), ffFingerprint(ref); got != want {
 		t.Fatalf("final state diverged:\n--- stepped ---\n%s--- advanced ---\n%s", want, got)
+	}
+}
+
+func TestFastForwardSamplerMatchesStep(t *testing.T) {
+	// A fresh sampler over a machine with a burst mid-run: the probes
+	// prime it, replays write its windows in bulk, and the burst's
+	// quanta collect one by one — the history must match collecting
+	// after every stepped quantum.
+	const n = 400
+	ref, refS := newSampled(t, quietConfig(), n)
+	des, desS := newSampled(t, quietConfig(), n)
+	for _, m := range []*Machine{ref, des} {
+		if err := m.Submit(burst(1.507, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stepCollect(t, ref, refS, n)
+	if err := des.FastForwardQuanta(n, desS); err != nil {
+		t.Fatal(err)
+	}
+	if got := desS.History(0).Len(); got != n-1 {
+		t.Fatalf("history holds %d windows, want %d", got, n-1)
+	}
+	requireSameSampled(t, ref, refS, des, desS)
+}
+
+func TestSamplerReplayMatchesCollect(t *testing.T) {
+	// Bulk-written windows against per-quantum Collect, with the replay
+	// span (n-2 quanta after the probes on a halted machine) below, equal
+	// to and above the history capacity. The rings are pre-filled off a
+	// zero offset so the bulk write wraps. busy-steady spins the hot idle
+	// loop at a different frequency per CPU, so every CPU has its own
+	// non-zero delta.
+	const capacity = 41
+	halted := quietConfig()
+	halted.Idle = IdleHalt
+	configs := []struct {
+		name      string
+		cfg       Config
+		wholeSpan bool // the first span must cover all n quanta, not just replay
+		setup     func(m *Machine)
+	}{
+		{"halted-idle", halted, true, func(*Machine) {}},
+		{"busy-steady", quietConfig(), false, func(m *Machine) {
+			table := m.Config().Table
+			for i := 0; i < m.NumCPUs(); i++ {
+				if err := m.SetFrequency(i, table.FrequencyAtIndex(i%table.Len())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, c := range configs {
+		for _, n := range []int{capacity / 2, capacity + 2, 5 * capacity} {
+			t.Run(fmt.Sprintf("%s/k=%d", c.name, n-2), func(t *testing.T) {
+				ref, refS := newSampled(t, c.cfg, capacity)
+				des, desS := newSampled(t, c.cfg, capacity)
+				for _, p := range []struct {
+					m *Machine
+					s *counters.Sampler
+				}{{ref, refS}, {des, desS}} {
+					c.setup(p.m)
+					stepCollect(t, p.m, p.s, 7)
+				}
+				stepCollect(t, ref, refS, n)
+				k, err := des.fastForwardSpan(n, desS)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k < 3 || c.wholeSpan && k != n {
+					t.Fatalf("first span advanced %d of %d quanta: replay did not engage", k, n)
+				}
+				if err := des.FastForwardQuanta(n-k, desS); err != nil {
+					t.Fatal(err)
+				}
+				requireSameSampled(t, ref, refS, des, desS)
+			})
+		}
+	}
+}
+
+func TestFastForwardRejectsForeignSampler(t *testing.T) {
+	m := newQuiet(t)
+	_, other := newSampled(t, quietConfig(), 4)
+	var se *StepError
+	if err := m.FastForwardQuanta(10, other); !errors.As(err, &se) {
+		t.Fatalf("FastForwardQuanta with another machine's sampler = %v, want *StepError", err)
+	}
+	if m.Now() != 0 {
+		t.Fatalf("rejected fast-forward advanced the clock to %v", m.Now())
 	}
 }
 

@@ -44,6 +44,27 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFastForwardSampledZeroAlloc pins the skipped-quantum half: once the
+// replay scratch has grown, fast-forwarding a halted-idle machine with a
+// sampler attached allocates nothing, bulk window writes included.
+func TestFastForwardSampledZeroAlloc(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Idle = IdleHalt
+	m, s := newSampled(t, cfg, 41)
+	const n = 60
+	if k, err := m.fastForwardSpan(n, s); err != nil || k != n {
+		t.Fatalf("warm-up span advanced %d of %d quanta (%v): replay did not engage", k, n, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := m.FastForwardQuanta(n, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("sampled FastForwardQuanta(%d) allocates %v per op, want 0", n, allocs)
+	}
+}
+
 // BenchmarkMachineStep measures one dispatch quantum across the four CPUs.
 func BenchmarkMachineStep(b *testing.B) {
 	m := hotPathMachine(b)

@@ -182,10 +182,12 @@ type Machine struct {
 	arrivals workload.Schedule
 	// prevRates is Step's reused contention-coupling scratch.
 	prevRates []float64
-	// ffBase/ffProbe are FastForwardQuanta's reused probe scratch (see
-	// advance.go): per-CPU counter baselines and measured quantum deltas.
+	// ffBase/ffProbe/ffEnds are FastForwardQuanta's reused scratch (see
+	// advance.go): per-CPU counter baselines, measured quantum deltas and
+	// the clock values of a sampled replay.
 	ffBase  []counters.Sample
 	ffProbe []quantumDelta
+	ffEnds  []float64
 }
 
 // New builds a machine from the configuration. Every CPU starts at nominal

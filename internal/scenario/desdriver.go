@@ -14,8 +14,8 @@ import (
 
 // RunClusterDES runs the scenario on the discrete-event engine. Trace,
 // hash and violations match RunCluster byte for byte; quiet rounds are
-// fast-forwarded in bulk while samplers keep collecting per-quantum
-// windows.
+// fast-forwarded in bulk, their per-quantum sampler windows written in
+// bulk too.
 func RunClusterDES(spec Spec, opt Options) (*RunResult, error) {
 	return runClusterEngine(spec, opt, true)
 }
@@ -28,7 +28,7 @@ func RunClusterDES(spec Spec, opt Options) (*RunResult, error) {
 // is not a certified fixed point, so skipping is always byte-safe.
 func advanceNodeRound(n *nodeRun, periods int, des bool) error {
 	if des && n.roundSkippable(periods) {
-		if err := n.m.FastForwardQuanta(periods, n.sampler.Collect); err != nil {
+		if err := n.m.FastForwardQuanta(periods, n.sampler); err != nil {
 			return fmt.Errorf("scenario: %s fast-forward: %w", n.name, err)
 		}
 		if n.st != nil {
