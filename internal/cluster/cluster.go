@@ -35,6 +35,18 @@ type Node struct {
 	sampler *counters.Sampler
 }
 
+// resample builds the node's sampler over its current machine. History
+// capacity: the aggregation window plus the most windows an RTT can hold
+// in flight (each collected window spans at least one cadence quantum).
+func (n *Node) resample(cfg fvsst.Config, quantum float64) error {
+	sampler, err := counters.NewSampler(n.M, 4*cfg.SchedulePeriods+int(math.Ceil(n.RTT/quantum)))
+	if err != nil {
+		return err
+	}
+	n.sampler = sampler
+	return nil
+}
+
 // Validate checks the node.
 func (n *Node) Validate() error {
 	if n.Name == "" {
@@ -119,6 +131,11 @@ type Coordinator struct {
 	// wakers bound how far RunDES may skip while quantum hooks are
 	// installed (see AddWaker).
 	wakers []Waker
+	// inputs and obs are buildInputs' scratch, rewritten every pass: Core
+	// and PassEvent read a pass's inputs synchronously and keep nothing,
+	// so each ProcInput.Obs points into obs.
+	inputs []ProcInput
+	obs    []perfmodel.Observation
 }
 
 // New builds a coordinator over the nodes with a global processor power
@@ -150,14 +167,9 @@ func New(cfg fvsst.Config, budget units.Power, nodes ...*Node) (*Coordinator, er
 		if n.M.Config().Quantum != quantum {
 			homogeneous = false
 		}
-		// History capacity: the aggregation window plus the most windows an
-		// RTT can hold in flight (each collected window spans at least one
-		// cadence quantum).
-		sampler, err := counters.NewSampler(n.M, 4*cfg.SchedulePeriods+int(math.Ceil(n.RTT/quantum)))
-		if err != nil {
+		if err := n.resample(cfg, quantum); err != nil {
 			return nil, err
 		}
-		n.sampler = sampler
 	}
 	loop, err := engine.NewLoop(quantum, cfg.SchedulePeriods)
 	if err != nil {
@@ -220,17 +232,6 @@ func (c *Coordinator) TotalCPUPower() units.Power {
 	return sum
 }
 
-// procs enumerates every processor in the cluster in (node, cpu) order.
-func (c *Coordinator) procs() []ProcRef {
-	var out []ProcRef
-	for ni, n := range c.nodes {
-		for cpu := 0; cpu < n.M.NumCPUs(); cpu++ {
-			out = append(out, ProcRef{Node: ni, CPU: cpu})
-		}
-	}
-	return out
-}
-
 // Step advances every node by one dispatch quantum and runs the
 // coordinator's collect/schedule protocol.
 func (c *Coordinator) Step() error {
@@ -269,9 +270,6 @@ func (c *Coordinator) Step() error {
 		if err := c.advanceNode(n); err != nil {
 			return err
 		}
-		if err := n.sampler.Collect(); err != nil {
-			return err
-		}
 	}
 	due := c.loop.Tick()
 	if c.afterQuantum != nil {
@@ -294,46 +292,53 @@ func (c *Coordinator) Step() error {
 }
 
 // advanceNode moves one node's machine through the current cadence
-// quantum: the exact per-quantum step when the machine shares the
-// coordinator's quantum, the variable-dt advance to the quantum's end
-// otherwise. Machine accounting failures surface as *machine.StepError.
+// quantum and collects its counters: on a homogeneous cluster through
+// the machine's fast-forward path — a real step and Collect, or one
+// replayed quantum while a fast-forward certificate holds — and the
+// variable-dt advance to the quantum's end otherwise. Machine accounting
+// failures surface as *machine.StepError.
 func (c *Coordinator) advanceNode(n *Node) error {
-	if c.homogeneous {
-		return n.M.StepQuantum()
+	s, err := c.sampler(n)
+	if err != nil {
+		return err
 	}
-	return n.M.AdvanceTo(c.loop.Now() + c.loop.Quantum())
+	if c.homogeneous {
+		return n.M.FastForwardQuanta(1, s)
+	}
+	if err := n.M.AdvanceTo(c.loop.Now() + c.loop.Quantum()); err != nil {
+		return err
+	}
+	return s.Collect()
 }
 
-// staleWindows returns how many of the newest history windows are still
-// in flight to the coordinator: staleness is the node's RTT in simulated
-// seconds, so windows are skipped until their combined span covers it.
-// (With every window exactly one quantum long this equals the old
-// ⌈RTT/quantum⌉ rule.)
-func staleWindows(hist *counters.History, rtt float64) int {
-	skip := 0
-	var span float64
-	for skip < hist.Len() && span < rtt {
-		span += hist.Last(skip).Window
-		skip++
+// sampler returns the node's sampler, rebuilt first if the node's
+// machine was swapped since it was built: a sampler over the old machine
+// would keep reading frozen counters, and the node would be scheduled
+// without observations from then on. The new sampler primes at its first
+// collect.
+func (c *Coordinator) sampler(n *Node) (*counters.Sampler, error) {
+	if n.sampler.Reader() != n.M {
+		if err := n.resample(c.cfg, c.loop.Quantum()); err != nil {
+			return nil, err
+		}
 	}
-	return skip
+	return n.sampler, nil
 }
 
 // observation builds the (stale) observation for a processor: the most
-// recent RTT's worth of windows has not reached the coordinator yet, so the
-// aggregate skips them.
-func (c *Coordinator) observation(p ProcRef) (perfmodel.Observation, bool) {
-	n := c.nodes[p.Node]
-	hist := n.sampler.History(p.CPU)
-	skip := staleWindows(hist, n.RTT)
-	if hist.Len() <= skip {
+// recent RTT's worth of windows has not reached the coordinator yet, so
+// the aggregate skips windows until their spans cover the node's RTT in
+// simulated seconds (with every window one quantum long, the
+// ⌈RTT/quantum⌉ newest windows) and sums the next SchedulePeriods.
+func (c *Coordinator) observation(n *Node, cpu int) (perfmodel.Observation, bool) {
+	if n.sampler.Reader() != n.M {
+		// Swapped since the last advance: no window describes the new
+		// machine yet (and it may have more CPUs than the old sampler).
 		return perfmodel.Observation{}, false
 	}
-	var agg counters.Delta
-	count := 0
-	for i := skip; i < hist.Len() && count < c.cfg.SchedulePeriods; i++ {
-		agg = agg.Add(hist.Last(i))
-		count++
+	agg, ok := n.sampler.StaleAggregate(cpu, n.RTT, c.cfg.SchedulePeriods)
+	if !ok {
+		return perfmodel.Observation{}, false
 	}
 	fHz := agg.ObservedFrequencyHz()
 	if agg.Instructions == 0 || agg.Cycles == 0 || fHz <= 0 {
@@ -342,40 +347,49 @@ func (c *Coordinator) observation(p ProcRef) (perfmodel.Observation, bool) {
 	return perfmodel.Observation{Delta: agg, Freq: units.Frequency(fHz)}, true
 }
 
-// buildInputs assembles the per-processor inputs a global pass sees: the
-// idle signal and the RTT-stale counter observations. Shared by schedule
-// and DemandCurve so the farm allocator prices exactly the state the next
-// pass would schedule from.
-func (c *Coordinator) buildInputs() ([]ProcRef, []ProcInput) {
-	procs := c.procs()
-	inputs := make([]ProcInput, len(procs))
-	for i, p := range procs {
-		n := c.nodes[p.Node]
-		in := ProcInput{Proc: p, Node: n.Name}
-		if c.cfg.UseIdleSignal && n.M.IsIdle(p.CPU) {
-			in.Idle = true
-		} else if o, ok := c.observation(p); ok {
-			o := o
-			in.Obs = &o
-		}
-		inputs[i] = in
+// buildInputs assembles the per-processor inputs a global pass sees, in
+// (node, cpu) order: the idle signal and the RTT-stale counter
+// observations. Shared by schedule and DemandCurve so the farm allocator
+// prices exactly the state the next pass would schedule from. The
+// returned slice is the coordinator's scratch, valid until the next call.
+func (c *Coordinator) buildInputs() []ProcInput {
+	total := 0
+	for _, n := range c.nodes {
+		total += n.M.NumCPUs()
 	}
-	return procs, inputs
+	if cap(c.obs) < total {
+		c.inputs = make([]ProcInput, total)
+		c.obs = make([]perfmodel.Observation, total)
+	}
+	c.inputs, c.obs = c.inputs[:total], c.obs[:total]
+	i := 0
+	for ni, n := range c.nodes {
+		for cpu := 0; cpu < n.M.NumCPUs(); cpu++ {
+			in := ProcInput{Proc: ProcRef{Node: ni, CPU: cpu}, Node: n.Name}
+			if c.cfg.UseIdleSignal && n.M.IsIdle(cpu) {
+				in.Idle = true
+			} else if o, ok := c.observation(n, cpu); ok {
+				c.obs[i] = o
+				in.Obs = &c.obs[i]
+			}
+			c.inputs[i] = in
+			i++
+		}
+	}
+	return c.inputs
 }
 
 // DemandCurve exports the cluster's current budget→predicted-loss curve
 // for the farm allocator, priced from the same stale observations the
 // next scheduling pass would use.
 func (c *Coordinator) DemandCurve() (farm.DemandCurve, error) {
-	_, inputs := c.buildInputs()
-	return c.core.DemandCurve(inputs)
+	return c.core.DemandCurve(c.buildInputs())
 }
 
 // UniformLoss predicts the aggregate loss of pinning every processor at
 // the given table index — the uniform-slowdown baseline.
 func (c *Coordinator) UniformLoss(fi int) (float64, error) {
-	_, inputs := c.buildInputs()
-	return c.core.UniformLoss(inputs, fi)
+	return c.core.UniformLoss(c.buildInputs(), fi)
 }
 
 // FloorPower returns the aggregate table power with every processor at
@@ -399,7 +413,7 @@ func (c *Coordinator) schedule(trigger string) error {
 	if trace {
 		passStart = time.Now()
 	}
-	procs, inputs := c.buildInputs()
+	inputs := c.buildInputs()
 	res, err := c.core.Schedule(inputs, c.budget)
 	if err != nil {
 		return err
@@ -408,11 +422,11 @@ func (c *Coordinator) schedule(trigger string) error {
 	if trace {
 		actStart = time.Now()
 	}
-	for i, p := range procs {
-		n := c.nodes[p.Node]
+	for i, in := range inputs {
+		n := c.nodes[in.Proc.Node]
 		c.pending = append(c.pending, pendingActuation{
 			due:  c.loop.Now() + n.RTT,
-			proc: p,
+			proc: in.Proc,
 			f:    res.Assignments[i].Actual,
 			m:    n.M,
 		})

@@ -306,3 +306,24 @@ func TestQuantumHookBracketsStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildInputsZeroAlloc pins the pass scratch: once grown, assembling
+// a busy cluster's inputs — observations included — allocates nothing.
+func TestBuildInputsZeroAlloc(t *testing.T) {
+	c := newTwoNodeCluster(t, units.Watts(900))
+	if err := c.Run(0.5); err != nil {
+		t.Fatal(err)
+	}
+	observed := 0
+	for _, in := range c.buildInputs() {
+		if in.Obs != nil {
+			observed++
+		}
+	}
+	if observed == 0 {
+		t.Fatal("no processor is observed; the cluster is not busy")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.buildInputs() }); allocs != 0 {
+		t.Fatalf("buildInputs allocates %v per call after warm-up, want 0", allocs)
+	}
+}

@@ -112,8 +112,12 @@ func (c *Coordinator) quietSpan(until float64) int {
 // running coordinator work.
 func (c *Coordinator) skipSpan(n int) error {
 	for _, nd := range c.nodes {
+		s, err := c.sampler(nd)
+		if err != nil {
+			return err
+		}
 		if c.homogeneous {
-			if err := nd.M.FastForwardQuanta(n, nd.sampler); err != nil {
+			if err := nd.M.FastForwardQuanta(n, s); err != nil {
 				return err
 			}
 			continue
@@ -127,7 +131,7 @@ func (c *Coordinator) skipSpan(n int) error {
 			if err := nd.M.AdvanceTo(t); err != nil {
 				return err
 			}
-			if err := nd.sampler.Collect(); err != nil {
+			if err := s.Collect(); err != nil {
 				return err
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/machine"
 	"repro/internal/power"
 	"repro/internal/units"
@@ -149,19 +150,29 @@ func TestRunDESHeterogeneousQuanta(t *testing.T) {
 
 func TestStaleWindowsMatchesQuantumRule(t *testing.T) {
 	// With every window exactly one quantum long, seconds-based staleness
-	// reproduces the old ⌈RTT/quantum⌉ window count.
+	// skips the old ⌈RTT/quantum⌉ newest windows. The observed CPU is busy,
+	// so every window retires instructions and each skip count gives its
+	// own aggregate of the remaining windows.
 	c := newTwoNodeCluster(t, units.Watts(900))
 	if err := c.Run(1.0); err != nil {
 		t.Fatal(err)
 	}
-	hist := c.nodes[0].sampler.History(0)
+	s := c.nodes[0].sampler
+	hist := s.History(0)
+	held := hist.Len()
 	q := c.loop.Quantum()
 	for _, tc := range []struct {
 		rtt  float64
 		want int
 	}{{0, 0}, {0.005, 1}, {0.010, 1}, {0.015, 2}, {0.045, 5}} {
-		if got := staleWindows(hist, tc.rtt); got != tc.want {
-			t.Errorf("staleWindows(rtt=%v) = %d, want %d (q=%v)", tc.rtt, got, tc.want, q)
+		var want counters.Delta
+		for i := tc.want; i < held; i++ {
+			want = want.Add(hist.Last(i))
+		}
+		got, ok := s.StaleAggregate(0, tc.rtt, held)
+		if !ok || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+			t.Errorf("StaleAggregate(rtt=%v) = %+v %v, want the %d windows after skipping %d (q=%v): %+v",
+				tc.rtt, got, ok, held-tc.want, tc.want, q, want)
 		}
 	}
 }

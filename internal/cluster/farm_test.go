@@ -43,7 +43,7 @@ func TestDemandCurveMatchesSchedule(t *testing.T) {
 	if err := c.Run(0.5); err != nil {
 		t.Fatal(err)
 	}
-	_, inputs := c.buildInputs()
+	inputs := c.buildInputs()
 	curve, err := c.core.DemandCurve(inputs)
 	if err != nil {
 		t.Fatal(err)

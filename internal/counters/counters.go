@@ -5,6 +5,16 @@
 // sampling window. The counters are aggregate per processor — they cannot
 // distinguish the programs multiprogrammed onto it, which the paper calls
 // out as a deliberate accuracy/simplicity trade-off.
+//
+// A Sampler keeps each processor's recent windows. Its store is built on
+// the read-time contract of Reader: one Collect reads every processor at
+// one time, so the read times are kept once for the whole machine, and
+// each processor keeps runs of consecutive windows with identical
+// counts. A steady or idle processor therefore costs one comparison per
+// window and no store, and a fast-forward that replays k identical
+// windows (Sampler.Replay) costs one run update per processor plus the
+// read times. The windows read back (History, WindowAggregate,
+// StaleAggregate) are bit-identical to the deltas Sample.Sub computes.
 package counters
 
 import (
@@ -65,15 +75,7 @@ func (cur Sample) Sub(prev Sample) (Delta, error) {
 	case cur.MemRefs < prev.MemRefs:
 		return Delta{}, backwards("mem", cur.MemRefs, prev.MemRefs)
 	}
-	return Delta{
-		Window:       cur.Time - prev.Time,
-		Instructions: cur.Instructions - prev.Instructions,
-		Cycles:       cur.Cycles - prev.Cycles,
-		HaltedCycles: cur.HaltedCycles - prev.HaltedCycles,
-		L2Refs:       cur.L2Refs - prev.L2Refs,
-		L3Refs:       cur.L3Refs - prev.L3Refs,
-		MemRefs:      cur.MemRefs - prev.MemRefs,
-	}, nil
+	return diff(cur, prev).delta(cur.Time - prev.Time), nil
 }
 
 func backwards(name string, cur, prev uint64) error {
@@ -173,6 +175,9 @@ func (d Delta) Validate() error {
 // interface.
 type Reader interface {
 	// ReadCounters returns the current counter sample of processor cpu.
+	// The reads of one Sampler.Collect — every processor in turn, with no
+	// simulated time passing in between — must all report the same Time;
+	// Collect rejects a reading that does not.
 	ReadCounters(cpu int) (Sample, error)
 	// NumCPUs returns how many processors the reader exposes.
 	NumCPUs() int

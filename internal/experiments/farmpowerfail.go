@@ -371,11 +371,7 @@ func (o Options) farmUniformRun() (FarmPolicyOutcome, error) {
 				if n.m.IsIdle(cpu) {
 					in.Idle = true
 				} else {
-					var agg counters.Delta
-					hist := n.sampler.History(cpu)
-					for k := 0; k < hist.Len() && k < cfg.SchedulePeriods; k++ {
-						agg = agg.Add(hist.Last(k))
-					}
+					agg := n.sampler.WindowAggregate(cpu, cfg.SchedulePeriods)
 					if fHz := agg.ObservedFrequencyHz(); agg.Instructions > 0 && agg.Cycles > 0 && fHz > 0 {
 						o := perfmodel.Observation{Delta: agg, Freq: units.Frequency(fHz)}
 						in.Obs = &o

@@ -13,10 +13,13 @@
 // advance, and the exact per-quantum floating-point accumulations on the
 // clock and both energy meters (repeated addition is observable;
 // summing once would round differently), plus the windows an attached
-// counter sampler would have collected, written in bulk. Anything the
-// probes cannot certify — jitter draws, Monte-Carlo execution, arrivals
-// maturing, idle-loop phase wrap — falls back to per-quantum stepping,
-// so the fast path is an optimisation, never a semantic.
+// counter sampler would have collected, written in bulk. The certificate
+// outlives the span: later calls, single quanta included, replay at once
+// until a real step or an outside change (work, arrivals, stolen time, a
+// throttle change) clears it. Anything the probes cannot certify —
+// jitter draws, Monte-Carlo execution, arrivals maturing, idle-loop
+// phase wrap — falls back to per-quantum stepping, so the fast path is
+// an optimisation, never a semantic.
 package machine
 
 import (
@@ -59,12 +62,11 @@ func (m *Machine) NextArrivalAt() (float64, bool) {
 	return m.arrivals[0].At, true
 }
 
-// quantumDelta is one probe measurement: what a single Step changed on
-// one CPU, plus the state needed to certify that replaying it is exact.
-type quantumDelta struct {
-	d    counters.Sample // per-quantum counter delta (Time unused)
-	last QuantumStats    // the stats the quantum produced
-	rem  uint64          // idle-cursor instructions left in phase after the probe
+// probeState is what a probe quantum left on one CPU beyond its counter
+// delta: the state needed to certify that replaying the quantum is exact.
+type probeState struct {
+	last QuantumStats // the stats the quantum produced
+	rem  uint64       // idle-cursor instructions left in phase after the probe
 }
 
 func subSample(a, b counters.Sample) counters.Sample {
@@ -142,8 +144,38 @@ func (m *Machine) FastForwardQuanta(n int, s *counters.Sampler) error {
 	return nil
 }
 
+// samplerSynced reports whether sampler s (if any) holds exactly what a
+// Collect would read now: primed, with every baseline equal to the CPU's
+// counters at the current time. Only then may a replay without probes
+// write its windows, because the probes' Collect calls are what
+// otherwise brings the sampler up to date.
+func (m *Machine) samplerSynced(s *counters.Sampler) bool {
+	if s == nil {
+		return true
+	}
+	if !s.Primed() {
+		return false
+	}
+	now := m.clock.Now()
+	for i, c := range m.cpus {
+		want := c.totals
+		want.Time = now
+		if s.Last(i) != want {
+			return false
+		}
+	}
+	return true
+}
+
 // fastForwardSpan advances between 1 and n quanta and reports how many.
 func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
+	// A certificate from earlier probes still holds while nothing has
+	// touched the machine: replay at once, with no probes.
+	if m.ffCert && m.steadyEligible() && m.samplerSynced(s) {
+		if k := m.replayBound(n); k > 0 {
+			return k, m.replay(k, s)
+		}
+	}
 	stepOne := func() error {
 		if err := m.StepQuantum(); err != nil {
 			return err
@@ -162,9 +194,11 @@ func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
 	}
 	if cap(m.ffBase) < len(m.cpus) {
 		m.ffBase = make([]counters.Sample, len(m.cpus))
-		m.ffProbe = make([]quantumDelta, len(m.cpus))
+		m.ffDelta = make([]counters.Sample, len(m.cpus))
+		m.ffProbe = make([]probeState, len(m.cpus))
 	}
 	m.ffBase = m.ffBase[:len(m.cpus)]
+	m.ffDelta = m.ffDelta[:len(m.cpus)]
 	m.ffProbe = m.ffProbe[:len(m.cpus)]
 
 	// Probe 1: a real quantum, measured. Its delta may still carry
@@ -177,7 +211,8 @@ func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
 		return 0, err
 	}
 	for i, c := range m.cpus {
-		m.ffProbe[i] = quantumDelta{d: subSample(c.totals, m.ffBase[i]), last: c.last, rem: c.idleCursor.RemainingInPhase()}
+		m.ffDelta[i] = subSample(c.totals, m.ffBase[i])
+		m.ffProbe[i] = probeState{last: c.last, rem: c.idleCursor.RemainingInPhase()}
 	}
 	done := 1
 
@@ -195,58 +230,66 @@ func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
 		p := &m.ffProbe[i]
 		d := subSample(c.totals, m.ffBase[i])
 		rem := c.idleCursor.RemainingInPhase()
-		if d != p.d || c.last != p.last || rem != p.rem-d.Instructions {
+		if d != m.ffDelta[i] || c.last != p.last || rem != p.rem-d.Instructions {
 			steady = false
 		}
 	}
 	if !steady {
 		return done, nil
 	}
+	// The certificate outlives this span: it holds until a real step or
+	// an outside change to the machine clears it (see Machine.ffCert).
+	m.ffCert = true
+	k := m.replayBound(n - done)
+	if k <= 0 {
+		return done, nil
+	}
+	return done + k, m.replay(k, s)
+}
 
-	// Bound the replay: stop a full quantum short of the next arrival
-	// (float-safe: probes and fallback steps absorb the boundary), and
-	// keep every idle cursor comfortably inside its current phase so
-	// each replayed quantum sees the same in-phase headroom the probes
-	// did.
-	k := n - done
+// replayBound clips a replay of up to n certified quanta: it stops a
+// full quantum short of the next arrival (float-safe: probes and
+// fallback steps absorb the boundary), and keeps every idle cursor
+// comfortably inside its current phase so each replayed quantum sees the
+// same in-phase headroom the probes did.
+func (m *Machine) replayBound(n int) int {
+	k := n
 	if len(m.arrivals) > 0 {
 		if kArr := int((m.arrivals[0].At-m.clock.Now())/m.cfg.Quantum) - 1; kArr < k {
 			k = kArr
 		}
 	}
-	for i := range m.cpus {
-		p := &m.ffProbe[i]
-		dI := p.d.Instructions
+	for i, c := range m.cpus {
+		dI := m.ffDelta[i].Instructions
 		if dI == 0 {
 			continue
 		}
-		rem := m.cpus[i].idleCursor.RemainingInPhase()
+		rem := c.idleCursor.RemainingInPhase()
 		if rem < 2*dI+2 {
-			k = 0
-			break
+			return 0
 		}
 		if kc := int((rem - 2*dI - 2) / dI); kc < k {
 			k = kc
 		}
 	}
-	if k <= 0 {
-		return done, nil
-	}
+	return k
+}
 
-	// Replay: the certified quantum, k times. Integer counter work is
-	// batched; the clock and energy meters run their per-quantum float
-	// additions so accumulated rounding matches the stepped engine bit
-	// for bit. With a sampler, the loop also records each replayed
-	// quantum's clock value, from which the sampler writes the windows
-	// k Collect calls would have.
+// replay runs the certified quantum k times. Integer counter work is
+// batched; the clock and energy meters run their per-quantum float
+// additions so accumulated rounding matches the stepped engine bit for
+// bit. With a sampler, the loop also records each replayed quantum's
+// clock value, from which the sampler writes the windows k Collect calls
+// would have.
+func (m *Machine) replay(k int, s *counters.Sampler) error {
 	dt := m.cfg.Quantum
 	cpuP := m.TotalCPUPower()
 	sysP := m.cfg.NonCPU + cpuP
 	for i, c := range m.cpus {
-		p := &m.ffProbe[i]
-		c.totals.AddN(p.d, uint64(k))
-		if p.d.Instructions > 0 {
-			c.idleCursor.AdvanceWithinPhase(p.d.Instructions * uint64(k))
+		d := &m.ffDelta[i]
+		c.totals.AddN(*d, uint64(k))
+		if d.Instructions > 0 {
+			c.idleCursor.AdvanceWithinPhase(d.Instructions * uint64(k))
 		}
 	}
 	// Validate exactly as the per-meter calls would, then run all five
@@ -256,10 +299,10 @@ func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
 	// the independent chains overlap in the pipeline instead of running
 	// back to back.
 	if err := m.cpuEnergy.AccumulateRepeat(cpuP, dt, 0); err != nil {
-		return done, m.stepError("cpu-energy", err)
+		return m.stepError("cpu-energy", err)
 	}
 	if err := m.energy.AccumulateRepeat(sysP, dt, 0); err != nil {
-		return done, m.stepError("system-energy", err)
+		return m.stepError("system-energy", err)
 	}
 	var ends []float64
 	if s != nil {
@@ -287,11 +330,9 @@ func (m *Machine) fastForwardSpan(n int, s *counters.Sampler) (int, error) {
 	}
 	*cpuT, *cpuN, *sysT, *sysN, *nowC = ct, cn, st, sn, now
 	if s != nil {
-		for i := range m.ffProbe {
-			s.Replay(i, m.ffProbe[i].d, ends)
-		}
+		s.Replay(m.ffDelta, ends)
 	}
-	return done + k, nil
+	return nil
 }
 
 // AdvanceTo advances the machine to simulation time t — inclusive of the

@@ -269,6 +269,121 @@ func TestSamplerReplayMatchesCollect(t *testing.T) {
 	}
 }
 
+func TestFastForwardCertificateLifetime(t *testing.T) {
+	// A machine advanced only through FastForwardQuanta — single quanta
+	// and longer spans — against a stepped twin that collects after every
+	// quantum. Between calls both get the same outside changes. A
+	// frequency request that leaves the throttle as it was must keep the
+	// probes' certificate, so later single-quantum calls replay on it;
+	// every other change must clear it. An unsampled fast-forward leaves
+	// the sampler behind the machine, so the next sampled call must not
+	// replay into it.
+	halted := quietConfig()
+	halted.Idle = IdleHalt
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		// steady: every probed span certifies (no idle-loop phase to wrap).
+		steady bool
+	}{{"halted-idle", halted, true}, {"hot-idle", quietConfig(), false}} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, refS := newSampled(t, c.cfg, 41)
+			des, desS := newSampled(t, c.cfg, 41)
+			table := c.cfg.Table
+			both := func(f func(m *Machine) error) {
+				for _, m := range []*Machine{ref, des} {
+					if err := f(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			freqs := func(shift int) func(m *Machine) error {
+				return func(m *Machine) error {
+					for i := 0; i < m.NumCPUs(); i++ {
+						if err := m.SetFrequency(i, table.FrequencyAtIndex((i+shift)%table.Len())); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+			}
+			// advance moves both machines n quanta: the twin by stepping
+			// and collecting, des by FastForwardQuanta calls of per quanta.
+			advance := func(n, per int) {
+				t.Helper()
+				stepCollect(t, ref, refS, n)
+				for left := n; left > 0; left -= per {
+					if err := des.FastForwardQuanta(min(per, left), desS); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSameSampled(t, ref, refS, des, desS)
+			}
+			cert := func(step string, want bool) {
+				t.Helper()
+				if des.ffCert != want {
+					t.Fatalf("%s: certificate held = %v, want %v", step, des.ffCert, want)
+				}
+			}
+			recertify := func(step string) {
+				t.Helper()
+				advance(60, 60)
+				if c.steady {
+					cert(step, true)
+				}
+			}
+
+			both(freqs(0))
+			advance(5, 1)
+			recertify("first span")
+			held := des.ffCert
+			advance(12, 1)
+			cert("single quanta", held)
+
+			both(freqs(0))
+			cert("same duty", held)
+			advance(6, 1)
+			cert("single quanta after same duty", held)
+
+			both(freqs(1))
+			cert("changed duty", false)
+			advance(4, 1)
+			recertify("after changed duty")
+
+			both(func(m *Machine) error { return m.SetMix(0, nil) })
+			cert("SetMix", false)
+			advance(4, 1)
+			recertify("after SetMix")
+
+			both(func(m *Machine) error { return m.Submit(burst(m.Now()+0.1, 2)) })
+			cert("Submit", false)
+			advance(3, 1)
+			advance(80, 40)
+			recertify("after burst")
+
+			both(func(m *Machine) error { return m.StealTime(1, 0.0031) })
+			cert("StealTime", false)
+			advance(6, 1)
+			recertify("after StealTime")
+			advance(7, 1)
+
+			// Fast-forward without the sampler, then sampled single quanta:
+			// the sampler's first window must span the unsampled stretch.
+			for i := 0; i < 25; i++ {
+				if err := ref.StepQuantum(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := des.FastForwardQuanta(25, nil); err != nil {
+				t.Fatal(err)
+			}
+			advance(5, 1)
+			advance(30, 30)
+			advance(9, 1)
+		})
+	}
+}
+
 func TestFastForwardRejectsForeignSampler(t *testing.T) {
 	m := newQuiet(t)
 	_, other := newSampled(t, quietConfig(), 4)

@@ -46,7 +46,8 @@ func TestStepZeroAlloc(t *testing.T) {
 
 // TestFastForwardSampledZeroAlloc pins the skipped-quantum half: once the
 // replay scratch has grown, fast-forwarding a halted-idle machine with a
-// sampler attached allocates nothing, bulk window writes included.
+// sampler attached allocates nothing, bulk window writes included — for
+// long spans and for the single quanta a coordinator Step advances.
 func TestFastForwardSampledZeroAlloc(t *testing.T) {
 	cfg := quietConfig()
 	cfg.Idle = IdleHalt
@@ -62,6 +63,19 @@ func TestFastForwardSampledZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sampled FastForwardQuanta(%d) allocates %v per op, want 0", n, allocs)
+	}
+	// The coordinator's Step path: single quanta replayed on the
+	// certificate the spans left behind.
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := m.FastForwardQuanta(1, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !m.ffCert {
+		t.Fatal("single-quantum calls cleared the certificate: they stepped instead of replaying")
+	}
+	if allocs != 0 {
+		t.Fatalf("sampled FastForwardQuanta(1) allocates %v per op, want 0", allocs)
 	}
 }
 

@@ -182,12 +182,17 @@ type Machine struct {
 	arrivals workload.Schedule
 	// prevRates is Step's reused contention-coupling scratch.
 	prevRates []float64
-	// ffBase/ffProbe/ffEnds are FastForwardQuanta's reused scratch (see
-	// advance.go): per-CPU counter baselines, measured quantum deltas and
-	// the clock values of a sampled replay.
+	// ffBase/ffDelta/ffProbe/ffEnds are FastForwardQuanta's reused scratch
+	// (see advance.go): per-CPU counter baselines, measured quantum deltas
+	// and probe state, and the clock values of a sampled replay.
 	ffBase  []counters.Sample
-	ffProbe []quantumDelta
+	ffDelta []counters.Sample
+	ffProbe []probeState
 	ffEnds  []float64
+	// ffCert records that two probes certified ffDelta as a fixed-point
+	// quantum of the current state. A real step and every outside change
+	// that could alter the next quantum clear it.
+	ffCert bool
 }
 
 // New builds a machine from the configuration. Every CPU starts at nominal
@@ -247,6 +252,7 @@ func (m *Machine) SetMix(i int, mix *workload.Mix) error {
 		return fmt.Errorf("machine: cpu %d out of range", i)
 	}
 	m.cpus[i].mix = mix
+	m.ffCert = false
 	return nil
 }
 
@@ -254,12 +260,19 @@ func (m *Machine) SetMix(i int, mix *workload.Mix) error {
 func (m *Machine) Mix(i int) *workload.Mix { return m.cpus[i].mix }
 
 // SetFrequency requests an effective frequency for CPU i, actuated through
-// the throttle (quantisation and settling apply).
+// the throttle (quantisation and settling apply). A request that leaves
+// the throttle exactly as it was — a pass re-sending an idle CPU its
+// frequency — keeps the machine's fast-forward certificate.
 func (m *Machine) SetFrequency(i int, f units.Frequency) error {
 	if i < 0 || i >= len(m.cpus) {
 		return fmt.Errorf("machine: cpu %d out of range", i)
 	}
-	_, err := m.cpus[i].throt.Request(m.clock.Now(), f)
+	th := m.cpus[i].throt
+	before := *th
+	_, err := th.Request(m.clock.Now(), f)
+	if *th != before {
+		m.ffCert = false
+	}
 	return err
 }
 
@@ -288,6 +301,7 @@ func (m *Machine) StealTime(i int, seconds float64) error {
 		return fmt.Errorf("machine: cannot steal negative time")
 	}
 	m.cpus[i].stolenDebt += seconds
+	m.ffCert = false
 	return nil
 }
 
@@ -399,6 +413,7 @@ func (m *Machine) Submit(arrivals workload.Schedule) error {
 	}
 	m.arrivals = append(m.arrivals, arrivals...)
 	m.arrivals = m.arrivals.Sorted()
+	m.ffCert = false
 	return nil
 }
 
@@ -440,6 +455,7 @@ func (m *Machine) Step() {
 // accounting fails — the advance path the cluster coordinator and the
 // DES drivers run on.
 func (m *Machine) StepQuantum() error {
+	m.ffCert = false
 	m.admitArrivals()
 	dt := m.cfg.Quantum
 	// Contention couples through the *previous* quantum's traffic so each
